@@ -35,13 +35,14 @@ bench:
 # BenchmarkMonitorAddColumns ride the wildcard), then the overhead
 # budgets: proves the bench suite still builds and runs, that 1/1024
 # sampling stays within its documented throughput envelope, that a
+# depth-64 flight recorder costs binary ingestion at most 10%, that a
 # two-detector MonitorSet stays within 2.5x a single detector with no
 # steady-state allocations, and that the binary columnar wire path stays
 # at least 4x faster per sample than the batched text lines (CI runs
 # this).
 bench-smoke:
 	$(GO) test -run XXX -bench . -benchtime=1x . ./internal/ingest/ ./internal/source/ ./internal/detect/
-	AGINGMF_TRACE_BUDGET=1 $(GO) test -run TestTraceOverheadBudget -count=1 -v ./internal/ingest/
+	AGINGMF_TRACE_BUDGET=1 $(GO) test -run 'TestTraceOverheadBudget|TestRecorderOverheadBudget' -count=1 -v ./internal/ingest/
 	AGINGMF_DETECT_BUDGET=1 $(GO) test -run TestMonitorSetOverheadBudget -count=1 -v ./internal/detect/
 	AGINGMF_BINARY_BUDGET=1 $(GO) test -run TestBinaryOverTextBudget -count=1 -v ./internal/ingest/
 

@@ -236,14 +236,6 @@ func run(args []string, stdout io.Writer) error {
 		return fmt.Errorf("-detectors: %w", err)
 	}
 
-	// The binary self-test measures peak columnar throughput; per-sample
-	// observability (tracing, flight recorders) would force every frame
-	// onto the row-bridge path and measure that instead.
-	if opt.sbSelftest {
-		sampleEvery = 0
-		opt.flightDepth = 0
-	}
-
 	monCfg := agingmf.DefaultMonitorConfig()
 	monCfg.HistoryLimit = opt.historyLimit
 	met := agingmf.NewRegistry()
@@ -529,8 +521,8 @@ func runSelfTest(ctx context.Context, srv *agingmf.IngestServer, stdout io.Write
 // byte-for-byte row-path parity, reports ingest throughput, and shuts
 // the daemon down.
 func runBinarySelfTest(ctx context.Context, srv *agingmf.IngestServer, stdout io.Writer, opt options) error {
-	fmt.Fprintf(stdout, "selftest-binary: %d sources x %d samples, %d samples/frame, seed %d (tracing and flight recorder off)\n",
-		opt.sbSources, opt.sbSamples, opt.sbFrame, opt.seed)
+	fmt.Fprintf(stdout, "selftest-binary: %d sources x %d samples, %d samples/frame, seed %d (trace sample %s, flight recorder depth %d)\n",
+		opt.sbSources, opt.sbSamples, opt.sbFrame, opt.seed, opt.traceSample, opt.flightDepth)
 	rep, err := agingmf.RunBinaryIngestSelfTest(ctx, srv, agingmf.BinaryIngestSelfTestConfig{
 		Sources:      opt.sbSources,
 		Samples:      opt.sbSamples,

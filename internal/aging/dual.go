@@ -103,9 +103,16 @@ func (d *DualMonitor) AddBatch(pairs [][2]float64) []DualJump {
 // fired lists are merged back into the per-pair free-then-swap arrival
 // order by sample index (jump indices are strictly increasing within
 // each counter, and a pair's free alarm precedes its swap alarm).
-func (d *DualMonitor) AddColumns(freeMemory, usedSwap []float64) []DualJump {
-	ff := d.free.AddColumns(freeMemory)
-	sf := d.swap.AddColumns(usedSwap)
+//
+// The optional ann (at most one; nil or absent is the hot path) observes
+// the batch for the flight recorder and the tracer: see Annotation.
+func (d *DualMonitor) AddColumns(freeMemory, usedSwap []float64, ann ...*Annotation) []DualJump {
+	var a *Annotation
+	if len(ann) > 0 {
+		a = ann[0]
+	}
+	ff := d.free.pushColumns(freeMemory, a, 0)
+	sf := d.swap.pushColumns(usedSwap, a, 1)
 	if len(ff) == 0 && len(sf) == 0 {
 		return nil
 	}
@@ -144,6 +151,13 @@ func (d *DualMonitor) AddTraced(freeMemory, usedSwap float64, tm *StageNanos) []
 // streams (see Monitor.LastStat) — the flight recorder's score columns.
 func (d *DualMonitor) LastStats() (freeStat, swapStat float64) {
 	return d.free.LastStat(), d.swap.LastStat()
+}
+
+// AppendLadders appends the two per-counter phases, free then swap, to
+// dst and returns it: the jump ladders whose maximum is Phase. A jump of
+// counter c climbs ladder int(c)-1.
+func (d *DualMonitor) AppendLadders(dst []Phase) []Phase {
+	return append(dst, d.free.Phase(), d.swap.Phase())
 }
 
 // Phase returns the most advanced phase across the two counters.

@@ -369,21 +369,21 @@ func (m *Monitor) addBatch(xs []float64) []Jump {
 // makes the binary wire path fast: one call per frame instead of one
 // call chain per sample.
 func (m *Monitor) AddColumns(xs []float64) []Jump {
+	return m.pushColumns(xs, nil, 0)
+}
+
+// pushColumns is AddColumns with an optional annotation whose Stats
+// column col this counter's stream fills (see Annotation).
+func (m *Monitor) pushColumns(xs []float64, ann *Annotation, col int) []Jump {
 	if m.met == nil {
-		return m.addColumns(xs)
+		return m.addColumns(xs, ann, col)
 	}
 	start := time.Now()
-	fired := m.addColumns(xs)
+	fired := m.addColumns(xs, ann, col)
 	m.observeAddBatch(start, len(xs), len(fired))
 	return fired
 }
 
-// addColumns is the un-instrumented AddColumns kernel. Stage-at-a-time
-// processing is state-equivalent to the per-sample pipeline because the
-// stages only communicate through their emitted values, and each
-// history's trim decision depends only on that history's own length —
-// so checking the bound after every append of a history reproduces
-// addSampleT's per-sample trimHistory exactly.
 // appendTrimmed appends xs to history h under the per-element trim rule
 // — after each append, when len exceeds 2*keep, cut to the last keep —
 // computed in closed form: the trim points are a pure function of the
@@ -413,10 +413,34 @@ func appendTrimmed(h, xs []float64, keep, trims int) ([]float64, int) {
 	return append(h, xs...), trims
 }
 
-func (m *Monitor) addColumns(xs []float64) []Jump {
+// addColumns is the un-instrumented AddColumns kernel. Stage-at-a-time
+// processing is state-equivalent to the per-sample pipeline because the
+// stages only communicate through their emitted values, and each
+// history's trim decision depends only on that history's own length —
+// so checking the bound after every append of a history reproduces
+// addSampleT's per-sample trimHistory exactly.
+//
+// A non-nil ann observes the batch without touching detection state:
+// column col of ann.Stats receives LastStat as it stood after each of
+// the batch's last len(ann.Stats) samples, and ann.Tm accumulates the
+// estimator's time once around its column pass and the other stages'
+// around each push. A nil ann costs nothing per sample.
+func (m *Monitor) addColumns(xs []float64, ann *Annotation, col int) []Jump {
 	if len(xs) == 0 {
 		return nil
 	}
+	var (
+		tm    *StageNanos
+		stats [][2]float64
+		t0    time.Time
+	)
+	if ann != nil {
+		tm, stats = ann.Tm, ann.Stats
+	}
+	// Stats slot k belongs to batch sample tail0+k; filled counts the
+	// slots already written, carry is LastStat as of the slots not yet
+	// written.
+	tail0, filled, carry := len(xs)-len(stats), 0, m.lastStat
 	limit := m.cfg.HistoryLimit
 	trims := 0
 	// Raw history column.
@@ -429,7 +453,13 @@ func (m *Monitor) addColumns(xs []float64) []Jump {
 	// Hölder estimates for the whole column. The scratch keeps the
 	// batch's alphas alive independently of m.alphas, whose tail may be
 	// trimmed below before the chain has consumed them.
+	if tm != nil {
+		t0 = time.Now()
+	}
 	m.colAlphas = m.est.PushColumns(xs, m.colAlphas[:0])
+	if tm != nil {
+		tm.Est += time.Since(t0).Nanoseconds()
+	}
 	var fired []Jump
 	if limit == 0 {
 		m.alphas = append(m.alphas, m.colAlphas...)
@@ -438,8 +468,20 @@ func (m *Monitor) addColumns(xs []float64) []Jump {
 	}
 	alphasBase := m.alphasSeen // count before this batch, for jump indexing
 	m.alphasSeen += len(m.colAlphas)
+	// The sample that emitted alpha number a (zero-based) was raw sample
+	// a + 2*Lag(), which is what addSampleT's m.seen-1 held at this point
+	// of the per-sample pipeline; first is that index for the batch's
+	// first alpha, and first-seen0 its position in the batch.
+	first := alphasBase + 2*m.est.Lag()
+	seen0 := m.seen - len(xs)
 	for ai, alpha := range m.colAlphas {
+		if tm != nil {
+			t0 = time.Now()
+		}
 		vol, ok := m.vol.Push(alpha)
+		if tm != nil {
+			tm.Vol += time.Since(t0).Nanoseconds()
+		}
 		if !ok {
 			continue
 		}
@@ -449,20 +491,36 @@ func (m *Monitor) addColumns(xs []float64) []Jump {
 			m.vols = append(m.vols[:0], m.vols[len(m.vols)-limit:]...)
 			trims++
 		}
+		if tm != nil {
+			t0 = time.Now()
+		}
 		stat, ok := m.std.Push(vol)
+		if tm != nil {
+			tm.Std += time.Since(t0).Nanoseconds()
+		}
 		if !ok {
 			continue // still calibrating the baseline
 		}
 		m.lastStat = stat
+		if stats != nil {
+			// Slots before this sample keep the previous statistic.
+			for k := first + ai - seen0 - tail0; filled < k; filled++ {
+				stats[filled][col] = carry
+			}
+			carry = stat
+		}
+		if tm != nil {
+			t0 = time.Now()
+		}
 		alarm, ok := m.gate.Push(stat)
+		if tm != nil {
+			tm.Gate += time.Since(t0).Nanoseconds()
+		}
 		if !ok {
 			continue
 		}
-		// The sample that emitted alpha number a (zero-based) was raw
-		// sample a + 2*Lag(), which is what addSampleT's m.seen-1 held at
-		// this point of the per-sample pipeline.
 		j := Jump{
-			SampleIndex: alphasBase + ai + 2*m.est.Lag(),
+			SampleIndex: first + ai,
 			VolIndex:    m.volsSeen - 1,
 			Volatility:  vol,
 			Score:       alarm.Score,
@@ -470,6 +528,9 @@ func (m *Monitor) addColumns(xs []float64) []Jump {
 		m.jumps = append(m.jumps, j)
 		m.std.Recalibrate()
 		fired = append(fired, j)
+	}
+	for ; filled < len(stats); filled++ {
+		stats[filled][col] = carry
 	}
 	if trims > 0 && m.met != nil {
 		m.met.trims.Add(uint64(trims))
@@ -483,6 +544,24 @@ func (m *Monitor) addColumns(xs []float64) []Jump {
 // *StageNanos disables timing, which is the hot path.
 type StageNanos struct {
 	Est, Vol, Std, Gate int64
+}
+
+// Annotation is the optional observer argument of the column kernels
+// (DualMonitor.AddColumns and, above it, the detect package's
+// PushColumns and MonitorSet.AddColumns): what the flight recorder and
+// the sampled tracer need from one batch, gathered inside the batch-first
+// kernels instead of by a per-sample replay. Filling it never changes
+// detection state. A nil *Annotation is the hot path.
+type Annotation struct {
+	// Stats, when non-empty, receives the lead detector's per-counter
+	// statistics (free, swap) as LastStats would have returned them after
+	// each of the batch's last len(Stats) samples; Stats[len(Stats)-1]
+	// belongs to the batch's last sample. len(Stats) must not exceed the
+	// batch length.
+	Stats [][2]float64
+	// Tm, when non-nil, accumulates the stream-stage push time of the
+	// batch (see StageNanos).
+	Tm *StageNanos
 }
 
 // AddTraced is Add with per-stage timing: when tm is non-nil, the time

@@ -3,6 +3,7 @@ package chaos
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -91,6 +92,12 @@ type ClusterReport struct {
 	Migrations uint64
 	Forwards   uint64
 	Adoptions  uint64
+	// MigrateSkips counts injected live migrations that moved nothing:
+	// the source had already left its node, or another handoff of it was
+	// under way. MigrateFailures counts injected migrations whose handoff
+	// failed (a partitioned target) and rolled back.
+	MigrateSkips    uint64
+	MigrateFailures uint64
 	// MultiOwned and Missing are ownership violations — always zero for a
 	// graceful degradation.
 	MultiOwned int
@@ -292,6 +299,7 @@ func RunCluster(ctx context.Context, cfg ClusterConfig) (ClusterReport, error) {
 	// Phase 3: streamed during the rejoin rebalance, with explicit live
 	// migrations layered on top when configured.
 	var migWg sync.WaitGroup
+	var migSkips, migFails atomic.Uint64
 	if cfg.Faults.MigrateUnderLoad {
 		migWg.Add(1)
 		go func() {
@@ -310,7 +318,16 @@ func RunCluster(ctx context.Context, cfg ClusterConfig) (ClusterReport, error) {
 						srcs = srcs[:4]
 					}
 					for _, st := range srcs {
-						_ = n.Migrate(ctx, st.ID, target.Name())
+						err := n.Migrate(ctx, st.ID, target.Name())
+						switch {
+						case err == nil:
+						case errors.Is(err, cluster.ErrNotHeld), errors.Is(err, cluster.ErrMigrationInFlight):
+							migSkips.Add(1)
+						default:
+							// Rolled back: the source stays put, and the
+							// ownership check below still covers it.
+							migFails.Add(1)
+						}
 					}
 				}
 				time.Sleep(5 * time.Millisecond)
@@ -341,6 +358,8 @@ func RunCluster(ctx context.Context, cfg ClusterConfig) (ClusterReport, error) {
 	}
 	rep.LinesSent = lines.Load()
 	rep.Retries = retries.Load()
+	rep.MigrateSkips = migSkips.Load()
+	rep.MigrateFailures = migFails.Load()
 
 	// Verify: exactly one owner per source, and the final state matches a
 	// legal replay — the full trace, or (for a victim-held source) the

@@ -107,6 +107,14 @@ func TestIngestColumnsMigrateParityUnderLoad(t *testing.T) {
 			if off == total/2 {
 				go func() {
 					defer close(migrated)
+					// The registry creates the source on its shard
+					// goroutine: drain so the batches already sent have
+					// landed and the source is held when the handoff
+					// starts.
+					if err := a.Registry().Drain(); err != nil {
+						t.Errorf("drain: %v", err)
+						return
+					}
 					if err := a.Migrate(context.Background(), id, b.Name()); err != nil {
 						t.Errorf("migrate: %v", err)
 					}
@@ -120,6 +128,7 @@ func TestIngestColumnsMigrateParityUnderLoad(t *testing.T) {
 	}()
 	wg.Wait()
 	<-migrated
+	drain(t, a, b)
 
 	if a.Holds(id) || !b.Holds(id) {
 		t.Fatalf("ownership after live migration: a=%v b=%v", a.Holds(id), b.Holds(id))

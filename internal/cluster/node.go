@@ -27,6 +27,14 @@ var (
 	// empty or every candidate owner was unreachable within the hop and
 	// retry budgets.
 	ErrNoOwner = errors.New("cluster: no reachable owner")
+	// ErrNotHeld reports a migration of a source this node does not hold:
+	// nothing moved. The source may never have arrived, or it already left
+	// (an earlier migration, a rebalance).
+	ErrNotHeld = errors.New("cluster: source not held")
+	// ErrMigrationInFlight reports a migration of a source whose handoff
+	// is already under way: nothing new moved, and the earlier handoff
+	// decides where the source ends up.
+	ErrMigrationInFlight = errors.New("cluster: migration already in flight")
 )
 
 // Config parameterizes a Node.
@@ -115,6 +123,10 @@ type Node struct {
 	hbWg      sync.WaitGroup
 	rebalMu   sync.Mutex // serializes rebalance passes
 	rebalWant atomic.Bool
+	// rebalBusy counts running async rebalance goroutines. Nothing in
+	// the node reads it: it exists so tests can wait until the passes a
+	// join triggered are done before placing sources by hand.
+	rebalBusy atomic.Int32
 
 	migrations   atomic.Uint64
 	ownerChanges atomic.Uint64
@@ -597,7 +609,10 @@ func (n *Node) HandleHandoff(envelope []byte) error {
 // Migrate hands source id to target via acquire/ack/release. While the
 // handoff is in flight, lines for the source block at this node; on ack
 // they unblock toward the target, and on failure the monitor re-attaches
-// here (rollback) so the source never goes unowned.
+// here (rollback) so the source never goes unowned. A call that moves
+// nothing says so: ErrNotHeld when this node does not hold the source,
+// ErrMigrationInFlight when another handoff of it is under way. A
+// target naming this node (or none) is a no-op that returns nil.
 func (n *Node) Migrate(ctx context.Context, id, target string) error {
 	if target == n.cfg.Self || target == "" {
 		return nil
@@ -605,11 +620,11 @@ func (n *Node) Migrate(ctx context.Context, id, target string) error {
 	n.mu.Lock()
 	if _, inFlight := n.migrating[id]; inFlight {
 		n.mu.Unlock()
-		return nil
+		return fmt.Errorf("cluster: migrate %q: %w", id, ErrMigrationInFlight)
 	}
 	if _, held := n.reg.Source(id); !held {
 		n.mu.Unlock()
-		return nil
+		return fmt.Errorf("cluster: migrate %q: %w", id, ErrNotHeld)
 	}
 	mig := &migration{target: target, done: make(chan struct{})}
 	n.migrating[id] = mig
@@ -630,7 +645,8 @@ func (n *Node) Migrate(ctx context.Context, id, target string) error {
 	if err != nil {
 		release()
 		if errors.Is(err, ingest.ErrUnknownSource) {
-			return nil
+			// Listed as held, but gone by the time the detach ran.
+			return fmt.Errorf("cluster: migrate %q: %w", id, ErrNotHeld)
 		}
 		return err
 	}
@@ -688,7 +704,9 @@ func (n *Node) triggerRebalance() {
 		return
 	}
 	if n.rebalWant.CompareAndSwap(false, true) {
+		n.rebalBusy.Add(1)
 		go func() {
+			defer n.rebalBusy.Add(-1)
 			for n.rebalWant.CompareAndSwap(true, false) {
 				_ = n.Rebalance(n.ctx())
 			}
@@ -722,7 +740,14 @@ func (n *Node) migrateMisplaced(ctx context.Context, ring *Ring) error {
 			break
 		}
 		if owner := ring.Owner(st.ID); owner != n.cfg.Self && owner != "" {
-			if err := n.Migrate(ctx, st.ID, owner); err != nil {
+			err := n.Migrate(ctx, st.ID, owner)
+			switch {
+			case err == nil:
+			case errors.Is(err, ErrNotHeld), errors.Is(err, ErrMigrationInFlight):
+				// The source left (or is leaving) between the listing and
+				// the call. A handoff that later rolls back leaves it
+				// misplaced, and the next pass retries it.
+			default:
 				errs = append(errs, err)
 			}
 		}

@@ -20,7 +20,18 @@ import (
 // only via the initial Start probes and announces — deterministic).
 func testCluster(t *testing.T, n int, hb time.Duration) ([]*Node, *MemTransport, *MemStore) {
 	t.Helper()
+	return testClusterOver(t, n, hb, nil)
+}
+
+// testClusterOver is testCluster with the nodes' transport wrapped by
+// wrap (nil keeps the bare MemTransport), so a test can intercept calls.
+func testClusterOver(t *testing.T, n int, hb time.Duration, wrap func(*MemTransport) Transport) ([]*Node, *MemTransport, *MemStore) {
+	t.Helper()
 	tr := NewMemTransport()
+	var via Transport = tr
+	if wrap != nil {
+		via = wrap(tr)
+	}
 	store := NewMemStore()
 	names := make([]string, n)
 	for i := range names {
@@ -45,7 +56,7 @@ func testCluster(t *testing.T, n int, hb time.Duration) ([]*Node, *MemTransport,
 		node, err := NewNode(Config{
 			Self:           names[i],
 			Peers:          peers,
-			Transport:      tr,
+			Transport:      via,
 			Registry:       reg,
 			Store:          store,
 			HeartbeatEvery: hb,
@@ -59,6 +70,13 @@ func testCluster(t *testing.T, n int, hb time.Duration) ([]*Node, *MemTransport,
 	}
 	for _, node := range nodes {
 		node.Start()
+	}
+	// Each join triggers an async rebalance pass. Wait them out, so a
+	// late pass cannot move a source the test has placed by hand.
+	for _, node := range nodes {
+		for node.rebalBusy.Load() != 0 {
+			time.Sleep(100 * time.Microsecond)
+		}
 	}
 	t.Cleanup(func() {
 		for _, node := range nodes {
@@ -244,6 +262,74 @@ func TestMigrateParityUnderLoad(t *testing.T) {
 	st, _ := b.Registry().Source(id)
 	if st.Samples != total {
 		t.Fatalf("sample count %d, want %d", st.Samples, total)
+	}
+}
+
+// TestMigrateNotHeld: migrating a source this node does not hold —
+// never seen, or already handed off — moves nothing and says so.
+func TestMigrateNotHeld(t *testing.T) {
+	nodes, _, _ := testCluster(t, 2, 0)
+	a, b := nodes[0], nodes[1]
+	id := pickOwnedBy(t, a.Ring(), a.Name())
+	if err := a.Migrate(context.Background(), id, b.Name()); !errors.Is(err, ErrNotHeld) {
+		t.Fatalf("migrate of an unseen source: %v, want ErrNotHeld", err)
+	}
+	if err := a.IngestLine("test", fmt.Sprintf("source=%s 1e9 2e8", id)); err != nil {
+		t.Fatal(err)
+	}
+	drain(t, a)
+	if err := a.Migrate(context.Background(), id, b.Name()); err != nil {
+		t.Fatalf("migrate: %v", err)
+	}
+	if err := a.Migrate(context.Background(), id, b.Name()); !errors.Is(err, ErrNotHeld) {
+		t.Fatalf("second migrate of a handed-off source: %v, want ErrNotHeld", err)
+	}
+	if s := a.Status(); s.Migrations != 1 {
+		t.Fatalf("migrations counted %d, want 1", s.Migrations)
+	}
+}
+
+// gatedTransport holds every Handoff until release is closed, announcing
+// each on entered first, so a test can act while a migration is in
+// flight.
+type gatedTransport struct {
+	*MemTransport
+	entered chan struct{}
+	release chan struct{}
+}
+
+func (g *gatedTransport) Handoff(ctx context.Context, peer string, envelope []byte) error {
+	g.entered <- struct{}{}
+	<-g.release
+	return g.MemTransport.Handoff(ctx, peer, envelope)
+}
+
+// TestMigrateInFlight: a second migration of a source whose handoff is
+// still under way moves nothing and says so; the first one completes.
+func TestMigrateInFlight(t *testing.T) {
+	gate := &gatedTransport{entered: make(chan struct{}, 1), release: make(chan struct{})}
+	nodes, _, _ := testClusterOver(t, 2, 0, func(mt *MemTransport) Transport {
+		gate.MemTransport = mt
+		return gate
+	})
+	a, b := nodes[0], nodes[1]
+	id := pickOwnedBy(t, a.Ring(), a.Name())
+	if err := a.IngestLine("test", fmt.Sprintf("source=%s 1e9 2e8", id)); err != nil {
+		t.Fatal(err)
+	}
+	drain(t, a)
+	first := make(chan error, 1)
+	go func() { first <- a.Migrate(context.Background(), id, b.Name()) }()
+	<-gate.entered
+	if err := a.Migrate(context.Background(), id, b.Name()); !errors.Is(err, ErrMigrationInFlight) {
+		t.Fatalf("migrate during a handoff: %v, want ErrMigrationInFlight", err)
+	}
+	close(gate.release)
+	if err := <-first; err != nil {
+		t.Fatalf("first migrate: %v", err)
+	}
+	if a.Holds(id) || !b.Holds(id) {
+		t.Fatalf("ownership after migration: a=%v b=%v", a.Holds(id), b.Holds(id))
 	}
 }
 

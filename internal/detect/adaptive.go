@@ -190,18 +190,30 @@ func (st *adaptiveStream) push(x float64, cfg AdaptiveConfig, tm *aging.StageNan
 // PushColumns implements ColumnPusher. The regime chart's confirmation
 // interleaves with the inner pipeline per sample (a confirmed shift
 // recalibrates the very next sample's baseline), so the columnar form is
-// a faithful per-pair loop over the same push kernel.
-func (a *Adaptive) PushColumns(free, swap []float64) Verdict {
-	var events []Event
+// a faithful per-pair loop over the same push kernel, timed exactly as
+// Push is.
+func (a *Adaptive) PushColumns(free, swap []float64, ann ...*aging.Annotation) Verdict {
+	an := annotation(ann)
+	tail0, tm := tailSplit(an, len(free))
+	events := a.pushPairs(free[:tail0], swap[:tail0], tm, nil)
+	for i := tail0; i < len(free); i++ {
+		events = a.pushPairs(free[i:i+1], swap[i:i+1], tm, events)
+		an.Stats[i-tail0] = [2]float64{a.free.mon.LastStat(), a.swap.mon.LastStat()}
+	}
+	return Verdict{Events: events, Phase: a.Phase()}
+}
+
+// pushPairs pushes the pairs in order, appending fired events to events.
+func (a *Adaptive) pushPairs(free, swap []float64, tm *aging.StageNanos, events []Event) []Event {
 	for i := range free {
-		if ev, ok := a.free.push(free[i], a.cfg, nil); ok {
+		if ev, ok := a.free.push(free[i], a.cfg, tm); ok {
 			events = append(events, ev)
 		}
-		if ev, ok := a.swap.push(swap[i], a.cfg, nil); ok {
+		if ev, ok := a.swap.push(swap[i], a.cfg, tm); ok {
 			events = append(events, ev)
 		}
 	}
-	return Verdict{Events: events, Phase: a.Phase()}
+	return events
 }
 
 // Phase implements Detector: only emitted jumps advance the phase —
@@ -234,7 +246,9 @@ func (a *Adaptive) LastStats() (freeStat, swapStat float64) {
 // aging package's metric families; set-level counters cover the rest.
 func (a *Adaptive) Instrument(reg *obs.Registry) {}
 
-var (
-	_ Detector     = (*Adaptive)(nil)
-	_ ColumnPusher = (*Adaptive)(nil)
-)
+// CounterPhases implements Detector.
+func (a *Adaptive) CounterPhases() (free, swap aging.Phase) {
+	return phaseOfJumps(a.free.jumps), phaseOfJumps(a.swap.jumps)
+}
+
+var _ Detector = (*Adaptive)(nil)

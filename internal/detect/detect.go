@@ -113,8 +113,15 @@ type Detector interface {
 	// push time for the sampled tracer; detection state must be
 	// byte-for-byte identical either way.
 	Push(s Sample, tm *aging.StageNanos) Verdict
+	// ColumnPusher is the batch-first form of Push; every detector has
+	// one.
+	ColumnPusher
 	// Phase returns the current aging assessment.
 	Phase() aging.Phase
+	// CounterPhases returns the phases of the detector's two per-counter
+	// jump ladders: each climbs one step per jump event of its counter,
+	// and Phase is the more advanced of the two.
+	CounterPhases() (free, swap aging.Phase)
 	// SamplesSeen returns how many sample pairs have been consumed.
 	SamplesSeen() int
 	// Jumps returns how many jump events the detector has emitted.
@@ -133,19 +140,44 @@ type Detector interface {
 	Instrument(reg *obs.Registry)
 }
 
-// ColumnPusher is the batch-first capability of a Detector: consume one
+// ColumnPusher is the batch-first half of a Detector: consume one
 // whole column per counter (free[i] and swap[i] are sample pair i) in a
 // single call, without per-sample interface dispatch. Implementations
 // must be state- and event-equivalent to pushing the pairs one at a
-// time with a nil *aging.StageNanos — the columnar parity tests assert
-// byte-identical SaveState blobs — and events must be reported in
-// per-sample arrival order. The traced (non-nil tm) path deliberately
-// stays per-sample: stage timing is a per-sample annotation.
+// time — the columnar parity tests assert byte-identical SaveState
+// blobs — and events must be reported in per-sample arrival order.
+//
+// The optional annotation (at most one; nil or absent is the hot path,
+// which must do no extra per-sample work) makes an observed batch run
+// the same kernel as an unobserved one: Stats receives the detector's
+// LastStats after each of the batch's last len(Stats) samples, and Tm
+// accumulates stage time wherever Push would (see aging.Annotation).
+// The argument is variadic so callers without an observer keep the
+// two-column call.
 type ColumnPusher interface {
 	// PushColumns consumes len(free) == len(swap) sample pairs and
 	// returns the verdict after the last pair, with every event fired
 	// along the way.
-	PushColumns(free, swap []float64) Verdict
+	PushColumns(free, swap []float64, ann ...*aging.Annotation) Verdict
+}
+
+// annotation returns the optional column-kernel annotation (nil when
+// absent).
+func annotation(ann []*aging.Annotation) *aging.Annotation {
+	if len(ann) == 0 {
+		return nil
+	}
+	return ann[0]
+}
+
+// tailSplit splits an n-sample batch at the first sample whose
+// statistics a's Stats collects (n when it collects none), and returns
+// the timing accumulator, for the per-pair column loops.
+func tailSplit(a *aging.Annotation, n int) (tail0 int, tm *aging.StageNanos) {
+	if a == nil {
+		return n, nil
+	}
+	return n - len(a.Stats), a.Tm
 }
 
 // Config carries the per-kind detector configurations of a MonitorSet.

@@ -183,8 +183,21 @@ func (e *Entropy) Push(s Sample, _ *aging.StageNanos) Verdict {
 // the per-stream sample counter, so the kernel is inherently sequential:
 // the columnar form is a faithful per-pair loop that only removes the
 // per-sample Sample construction and interface dispatch of the set path.
-func (e *Entropy) PushColumns(free, swap []float64) Verdict {
-	var events []Event
+// Like Push, it has no stages to time; annotated statistics are the
+// per-counter z-scores.
+func (e *Entropy) PushColumns(free, swap []float64, ann ...*aging.Annotation) Verdict {
+	a := annotation(ann)
+	tail0, _ := tailSplit(a, len(free))
+	events := e.pushPairs(free[:tail0], swap[:tail0], nil)
+	for i := tail0; i < len(free); i++ {
+		events = e.pushPairs(free[i:i+1], swap[i:i+1], events)
+		a.Stats[i-tail0] = [2]float64{e.free.lastScore, e.swap.lastScore}
+	}
+	return Verdict{Events: events, Phase: e.Phase()}
+}
+
+// pushPairs pushes the pairs in order, appending fired events to events.
+func (e *Entropy) pushPairs(free, swap []float64, events []Event) []Event {
 	for i := range free {
 		if ev, ok := e.free.push(free[i], e.cfg); ok {
 			events = append(events, ev)
@@ -193,7 +206,7 @@ func (e *Entropy) PushColumns(free, swap []float64) Verdict {
 			events = append(events, ev)
 		}
 	}
-	return Verdict{Events: events, Phase: e.Phase()}
+	return events
 }
 
 // push consumes one sample; it returns a jump event when this sample's
@@ -701,7 +714,9 @@ func (e *Entropy) LastStats() (freeStat, swapStat float64) {
 // no dedicated metric families; set-level counters cover it.
 func (e *Entropy) Instrument(reg *obs.Registry) {}
 
-var (
-	_ Detector     = (*Entropy)(nil)
-	_ ColumnPusher = (*Entropy)(nil)
-)
+// CounterPhases implements Detector.
+func (e *Entropy) CounterPhases() (free, swap aging.Phase) {
+	return phaseOfJumps(e.free.jumps), phaseOfJumps(e.swap.jumps)
+}
+
+var _ Detector = (*Entropy)(nil)

@@ -63,9 +63,10 @@ func (h *Holder) Push(s Sample, tm *aging.StageNanos) Verdict {
 
 // PushColumns implements ColumnPusher: both counter columns run through
 // the dual monitor's batch-first AddColumns kernel, which preserves the
-// per-pair free-then-swap alarm ordering and per-sample state bytes.
-func (h *Holder) PushColumns(free, swap []float64) Verdict {
-	fired := h.dm.AddColumns(free, swap)
+// per-pair free-then-swap alarm ordering and per-sample state bytes and
+// fills the annotation from inside the kernel.
+func (h *Holder) PushColumns(free, swap []float64, ann ...*aging.Annotation) Verdict {
+	fired := h.dm.AddColumns(free, swap, ann...)
 	v := Verdict{Phase: h.dm.Phase()}
 	if len(fired) == 0 {
 		return v
@@ -118,7 +119,9 @@ func (h *Holder) Instrument(reg *obs.Registry) {
 // tests).
 func (h *Holder) DualMonitor() *aging.DualMonitor { return h.dm }
 
-var (
-	_ Detector     = (*Holder)(nil)
-	_ ColumnPusher = (*Holder)(nil)
-)
+// CounterPhases implements Detector.
+func (h *Holder) CounterPhases() (free, swap aging.Phase) {
+	return h.dm.FreeMonitor().Phase(), h.dm.SwapMonitor().Phase()
+}
+
+var _ Detector = (*Holder)(nil)

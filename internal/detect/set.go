@@ -97,34 +97,59 @@ func (s *MonitorSet) AddBatch(pairs [][2]float64) []Event {
 }
 
 // AddColumns consumes one column per counter (free[i] and swap[i] are
-// sample pair i) through each detector's batch-first kernel, falling
-// back to the per-sample loop for detectors without one. It is the
-// binary wire path's entry point: one call per frame, no per-sample
-// Sample construction or interface dispatch. State and returned events
-// are identical to AddBatch over the same pairs — each detector's
-// events arrive in per-sample order, and the per-detector lists are
-// merged back into the per-sample, detector-configuration order the
-// row path emits (asserted by the columnar parity tests).
-func (s *MonitorSet) AddColumns(free, swap []float64) []Event {
-	if len(s.dets) == 1 {
-		if cp, ok := s.dets[0].(ColumnPusher); ok {
-			return cp.PushColumns(free, swap).Events
+// sample pair i) through each detector's batch-first kernel. It is the
+// entry point of every multi-sample unit the daemon ingests: one call
+// per frame or batch line, no per-sample Sample construction or
+// interface dispatch. State and returned events are identical to
+// AddBatch over the same pairs — each detector's events arrive in
+// per-sample order, and the per-detector lists are merged back into the
+// per-sample, detector-configuration order the row path emits (asserted
+// by the columnar parity tests). A lone pair takes the per-sample path:
+// the column kernels' per-call setup outweighs their per-sample saving
+// at n = 1. One text line per sample is agingd's line protocol, and
+// with 1-length columns there perfbench's fleet-text-lines workload
+// spent ~12% more daemon CPU per sample (median of five alternating
+// pairs, 5,286 vs 4,733 ns).
+//
+// The optional ann (at most one; nil or absent is the hot path) observes
+// the unit without changing any verdict: the lead (first-configured)
+// detector fills Stats — the flight recorder's score columns, as
+// LastStats reports them — and every detector accumulates stage time
+// into Tm where its Push would (see ColumnPusher).
+func (s *MonitorSet) AddColumns(free, swap []float64, ann ...*aging.Annotation) []Event {
+	a := annotation(ann)
+	if len(free) == 1 {
+		var tm *aging.StageNanos
+		if a != nil {
+			tm = a.Tm
 		}
+		events := s.AddTraced(free[0], swap[0], tm)
+		if a != nil && len(a.Stats) > 0 {
+			a.Stats[0][0], a.Stats[0][1] = s.LastStats()
+		}
+		return events
+	}
+	if len(s.dets) == 1 {
+		return s.dets[0].PushColumns(free, swap, ann...).Events
+	}
+	// Only the lead detector reports statistics: the others see the
+	// annotation with Stats cleared, restored before returning.
+	var stats [][2]float64
+	if a != nil {
+		stats = a.Stats
 	}
 	var lists [][]Event
 	total := 0
-	for _, d := range s.dets {
-		var evs []Event
-		if cp, ok := d.(ColumnPusher); ok {
-			evs = cp.PushColumns(free, swap).Events
-		} else {
-			for i := range free {
-				v := d.Push(Sample{Free: free[i], Swap: swap[i]}, nil)
-				evs = append(evs, v.Events...)
-			}
+	for i, d := range s.dets {
+		if i == 1 && a != nil {
+			a.Stats = nil
 		}
+		evs := d.PushColumns(free, swap, ann...).Events
 		lists = append(lists, evs)
 		total += len(evs)
+	}
+	if a != nil {
+		a.Stats = stats
 	}
 	if total == 0 {
 		return nil
@@ -148,6 +173,31 @@ func (s *MonitorSet) AddColumns(free, swap []float64) []Event {
 		heads[best]++
 	}
 	return events
+}
+
+// AppendLadders appends the phase of every jump ladder of the set to dst
+// — two per detector, free then swap, in push order — and returns it.
+// The set's phase is their maximum, and each jump event climbs exactly
+// its own ladder (see Ladder), so a caller holding the ladders from
+// before a unit can replay the unit's events into the phase after each
+// sample: that is how the flight recorder annotates a columnar unit.
+func (s *MonitorSet) AppendLadders(dst []aging.Phase) []aging.Phase {
+	for _, d := range s.dets {
+		f, w := d.CounterPhases()
+		dst = append(dst, f, w)
+	}
+	return dst
+}
+
+// Ladder returns the AppendLadders index of the ladder a jump event of
+// this set climbs, or -1 when no detector of the set emitted it.
+func (s *MonitorSet) Ladder(ev Event) int {
+	for i, d := range s.dets {
+		if d.Kind() == ev.Detector {
+			return 2*i + int(ev.Counter) - 1
+		}
+	}
+	return -1
 }
 
 // Phase returns the most advanced phase across the detectors.

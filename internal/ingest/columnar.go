@@ -13,11 +13,13 @@ import (
 // the columns into the detectors, and an error return has already
 // released it — the caller must not touch cb afterwards either way.
 //
-// The shard-side hot path hands the columns straight to
-// detect.MonitorSet.AddColumns — no per-sample dispatch, no row
-// materialization — which is where the binary path's throughput comes
-// from (see BenchmarkIngestBinary); verdicts and detector state are
-// byte-for-byte those of per-sample Ingest calls over the same values.
+// The shard hands the columns straight to detect.MonitorSet.AddColumns
+// — no per-sample dispatch, no row materialization — which is where the
+// binary path's throughput comes from (see BenchmarkIngestBinary). A
+// traced or flight-recorded source takes the same kernels, annotated, so
+// observability does not switch the path; verdicts and detector state
+// are byte-for-byte those of per-sample Ingest calls over the same
+// values.
 // Queueing semantics match IngestBatch: a full shard queue blocks the
 // producer (or drops whole, counted, with DropWhenFull) — a frame is
 // never split.
@@ -86,29 +88,8 @@ func (r *Registry) ingestColumns(cb *transport.ColumnarBatch, seq uint64) error 
 }
 
 // handleColumns feeds one columnar batch into its source's detector set
-// and returns the batch to the pool. The untraced, unrecorded path is
-// the batch-first kernel chain (MonitorSet.AddColumns); a traced or
-// flight-recorded source bridges to the row-oriented observe path,
-// which is verdict-identical.
+// through the shared column path and returns the batch to the pool.
 func (sh *shard) handleColumns(cb *transport.ColumnarBatch, seq uint64) {
 	defer cb.Release()
-	r := sh.reg
-	n := cb.Len()
-	if n == 0 {
-		return
-	}
-	src := sh.resolve(cb.Source, n)
-	if src == nil {
-		return
-	}
-	var start time.Time
-	if r.cfg.Obs != nil || seq != 0 {
-		start = time.Now()
-	}
-	if seq == 0 && src.fr == nil {
-		sh.commit(src, src.mon.AddColumns(cb.Free, cb.Swap), cb.Free[n-1], cb.Swap[n-1], n, start, seq)
-		return
-	}
-	sh.pairs = cb.AppendPairs(sh.pairs[:0])
-	sh.commit(src, sh.observe(src, sh.pairs, seq), cb.Free[n-1], cb.Swap[n-1], n, start, seq)
+	sh.handleCols(cb.Source, cb.Free, cb.Swap, seq)
 }

@@ -188,13 +188,11 @@ type shard struct {
 	samplesCtr *obs.Counter
 	depthGauge *obs.Gauge
 
-	// Scratch reused by the annotated (traced / flight-recorded) path;
-	// owned by the shard goroutine. pairs bridges columnar batches onto
-	// the row-oriented observe path.
-	pair1 [1][2]float64
-	pairs [][2]float64
-	recs  []trace.Record
-	tm    aging.StageNanos
+	// Scratch owned by the shard goroutine: the columns a text unit is
+	// transposed into, and the observed (traced / flight-recorded) path's
+	// annotator.
+	free, swap []float64
+	ann        transport.Annotator
 }
 
 // source is one monitored machine. The detector set and lastPhase are
@@ -451,8 +449,9 @@ func (r *Registry) ingest(s Sample, seq uint64) error {
 // IngestBatch routes a run of samples for one source to its shard as a
 // single unit: one queue slot and one channel send for the whole batch,
 // which is where the >= 2x samples/sec of batched ingestion comes from
-// (see BenchmarkIngestBatch). The monitor consumes the pairs in order,
-// so verdicts are byte-for-byte identical to per-sample Ingest calls.
+// (see BenchmarkIngestBatch). The shard transposes the pairs into
+// columns for the same column kernels binary frames take, so verdicts
+// are byte-for-byte identical to per-sample Ingest calls.
 // Queueing semantics match Ingest; an empty batch is a no-op.
 func (r *Registry) IngestBatch(b Batch) error {
 	return r.ingestBatch(b, r.tr.Sample())
@@ -901,37 +900,38 @@ func (sh *shard) resolve(id string, n int) *source {
 
 // handle feeds one sample into its source's detector set — the
 // single-writer hot path. No locks are taken: the set is goroutine-owned
-// and the status mirror is atomics. The untraced, unrecorded path is the
-// original direct Add; everything else goes through observe.
+// and the status mirror is atomics.
 func (sh *shard) handle(s Sample, seq uint64) {
-	r := sh.reg
-	src := sh.resolve(s.Source, 1)
-	if src == nil {
-		return
-	}
-	var start time.Time
-	if r.cfg.Obs != nil || seq != 0 {
-		start = time.Now()
-	}
-	var events []detect.Event
-	if seq == 0 && src.fr == nil {
-		events = src.mon.Add(s.Free, s.Swap)
-	} else {
-		sh.pair1[0] = [2]float64{s.Free, s.Swap}
-		events = sh.observe(src, sh.pair1[:], seq)
-	}
-	sh.commit(src, events, s.Free, s.Swap, 1, start, seq)
+	sh.free = append(sh.free[:0], s.Free)
+	sh.swap = append(sh.swap[:0], s.Swap)
+	sh.handleCols(s.Source, sh.free, sh.swap, seq)
 }
 
-// handleBatch feeds a whole batch into its source's detector set with one
-// map lookup and one bookkeeping pass; verdicts are identical to feeding
-// the pairs through handle one at a time.
+// handleBatch feeds a text batch into its source's detector set: the
+// pairs are transposed into the shard's column scratch and take the
+// binary frames' path, with one map lookup and one bookkeeping pass.
 func (sh *shard) handleBatch(b *Batch, seq uint64) {
+	sh.free, sh.swap = sh.free[:0], sh.swap[:0]
+	for _, p := range b.Pairs {
+		sh.free = append(sh.free, p[0])
+		sh.swap = append(sh.swap, p[1])
+	}
+	sh.handleCols(b.Source, sh.free, sh.swap, seq)
+}
+
+// handleCols is the one detection path of every unit — a sample, a text
+// batch, a binary frame: resolve the source, fold the columns through
+// its detector set's column kernels, publish. A traced or recorded unit
+// runs the same kernels, annotated (see transport.Annotator), so turning
+// observability on never switches the code under observation. Verdicts
+// are identical to feeding the pairs one at a time.
+func (sh *shard) handleCols(id string, free, swap []float64, seq uint64) {
 	r := sh.reg
-	if len(b.Pairs) == 0 {
+	n := len(free)
+	if n == 0 {
 		return
 	}
-	src := sh.resolve(b.Source, len(b.Pairs))
+	src := sh.resolve(id, n)
 	if src == nil {
 		return
 	}
@@ -941,82 +941,18 @@ func (sh *shard) handleBatch(b *Batch, seq uint64) {
 	}
 	var events []detect.Event
 	if seq == 0 && src.fr == nil {
-		events = src.mon.AddBatch(b.Pairs)
+		events = src.mon.AddColumns(free, swap)
 	} else {
-		events = sh.observe(src, b.Pairs, seq)
-	}
-	last := b.Pairs[len(b.Pairs)-1]
-	sh.commit(src, events, last[0], last[1], len(b.Pairs), start, seq)
-}
-
-// observe is the annotated detection path, taken when the unit is traced
-// or the source has a flight recorder. It feeds the pairs one at a time —
-// verdict-identical to AddBatch — so each sample's value, score, phase and
-// jump verdict can be captured, accumulates per-stage stream timings for
-// traced units, and appends the annotated tail to the flight recorder in
-// one lock. Scratch lives on the shard, so the steady state allocates only
-// when a jump actually fires.
-func (sh *shard) observe(src *source, pairs [][2]float64, seq uint64) []detect.Event {
-	r := sh.reg
-	var tm *aging.StageNanos
-	if seq != 0 {
-		sh.tm = aging.StageNanos{}
-		tm = &sh.tm
-	}
-	var detectStart time.Time
-	if seq != 0 {
-		detectStart = time.Now()
-	}
-	recs := sh.recs[:0]
-	var all []detect.Event
-	wall := time.Now().UnixNano()
-	for _, p := range pairs {
-		js := src.mon.AddTraced(p[0], p[1], tm)
-		all = append(all, js...)
-		if src.fr != nil {
-			scoreFree, scoreSwap := src.mon.LastStats()
-			njumps := 0
-			for _, ev := range js {
-				if ev.Kind == detect.EventJump {
-					njumps++
-				}
+		ann := sh.ann.Begin(src.mon, n, src.fr.Depth(), seq)
+		events = src.mon.AddColumns(free, swap, ann...)
+		for _, ev := range events {
+			if ev.Kind == detect.EventJump {
+				sh.ann.Jump(ev.Sample, src.mon.Ladder(ev))
 			}
-			recs = append(recs, trace.Record{
-				Seq:       uint64(src.mon.SamplesSeen()),
-				Wall:      wall,
-				Free:      p[0],
-				Swap:      p[1],
-				ScoreFree: scoreFree,
-				ScoreSwap: scoreSwap,
-				Phase:     src.mon.Phase().String(),
-				Jumps:     njumps,
-			})
 		}
+		sh.ann.End(free, swap, r.tr, src.fr, src.id, sh.id)
 	}
-	if seq != 0 {
-		end := time.Now()
-		r.tr.Record(trace.StageDetect, src.id, sh.id, seq, detectStart, end.Sub(detectStart))
-		// The stream stages ran interleaved inside detect; export each
-		// accumulated total as one span ending at the detect boundary.
-		stages := [...]int64{tm.Est, tm.Vol, tm.Std, tm.Gate}
-		for i, ns := range stages {
-			d := time.Duration(ns)
-			r.tr.Record(trace.StageEst+trace.Stage(i), src.id, sh.id, seq, end.Add(-d), d)
-		}
-		if n := len(recs); n > 0 {
-			recs[n-1].TraceSeq = seq
-			recs[n-1].StageNs[trace.StageEst] = tm.Est
-			recs[n-1].StageNs[trace.StageVol] = tm.Vol
-			recs[n-1].StageNs[trace.StageStd] = tm.Std
-			recs[n-1].StageNs[trace.StageGate] = tm.Gate
-			recs[n-1].StageNs[trace.StageDetect] = end.Sub(detectStart).Nanoseconds()
-		}
-	}
-	if len(recs) > 0 {
-		src.fr.Append(recs)
-	}
-	sh.recs = recs[:0] // keep grown capacity for the next batch
-	return all
+	sh.commit(src, events, free[n-1], swap[n-1], n, start, seq)
 }
 
 // commit publishes the post-Add bookkeeping shared by the single-sample

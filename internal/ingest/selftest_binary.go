@@ -119,9 +119,8 @@ func binarySelfTestPair(seed int64, s, i int) (free, swap float64) {
 // generator's.
 //
 // The server must be started with a TCP listener and must not be shut
-// down underneath the test. Per-sample observability (pipeline tracing,
-// flight recorders) forces batches onto the row-bridge path; run the
-// throughput self-test with both disabled.
+// down underneath the test. Tracing and flight recorders may stay on:
+// observed frames run the same column kernels.
 func RunBinarySelfTest(ctx context.Context, srv *Server, cfg BinarySelfTestConfig) (BinarySelfTestReport, error) {
 	if ctx == nil {
 		ctx = context.Background()

@@ -28,9 +28,10 @@ type Watchdog struct {
 
 // NewWatchdog arms a watchdog with the given deadline. A non-positive
 // timeout returns nil — a valid, permanently quiet watchdog. onStall
-// (optional) runs on the watchdog's own goroutine each time the deadline
-// expires, receiving the gap since the last sample; m counts stalls
-// (the zero Metrics works).
+// (optional) runs once per stall episode, receiving the gap since the
+// last sample: on the watchdog's own goroutine when the deadline
+// expires, or on the goroutine of a Stalled call that notices the
+// expired deadline first. m counts stalls (the zero Metrics works).
 func NewWatchdog(timeout time.Duration, m Metrics, onStall func(gap time.Duration)) *Watchdog {
 	if timeout <= 0 {
 		return nil
@@ -41,10 +42,11 @@ func NewWatchdog(timeout time.Duration, m Metrics, onStall func(gap time.Duratio
 }
 
 // fire handles a deadline expiry. A pet that raced the timer re-arms
-// instead of stalling, so only genuine gaps count.
+// instead of stalling, so only genuine gaps count, and an episode that
+// Stalled already recorded is not counted twice.
 func (w *Watchdog) fire() {
 	w.mu.Lock()
-	if w.stopped {
+	if w.stopped || w.stalled {
 		w.mu.Unlock()
 		return
 	}
@@ -54,6 +56,12 @@ func (w *Watchdog) fire() {
 		w.mu.Unlock()
 		return
 	}
+	w.stall(gap)
+}
+
+// stall records a stall episode of the given gap and runs the callback.
+// It is called with w.mu held and releases it.
+func (w *Watchdog) stall(gap time.Duration) {
 	w.stalled = true
 	w.stalls++
 	cb := w.onStall
@@ -84,14 +92,24 @@ func (w *Watchdog) Pet() (wasStalled bool) {
 }
 
 // Stalled reports whether the stream is currently stalled (deadline
-// expired with no pet since).
+// expired with no pet since). It reads the clock rather than trusting
+// the timer alone: on a loaded machine the timer's callback can run
+// milliseconds after the deadline. A stall it notices first is recorded
+// here, callback included, as the timer would have recorded it.
 func (w *Watchdog) Stalled() bool {
 	if w == nil {
 		return false
 	}
 	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.stalled
+	if !w.stalled && !w.stopped {
+		if gap := time.Since(w.last); gap >= w.timeout {
+			w.stall(gap)
+			return true
+		}
+	}
+	stalled := w.stalled
+	w.mu.Unlock()
+	return stalled
 }
 
 // Stalls returns how many stall episodes have fired.

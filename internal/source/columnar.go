@@ -106,7 +106,7 @@ func (b *ColumnarBatch) Reset() {
 }
 
 // AppendPairs appends the batch's samples to dst in row form — the
-// bridge to row-oriented consumers (the annotated ingest path, Item).
+// bridge to row-oriented consumers (Item, text-wire forwarding).
 func (b *ColumnarBatch) AppendPairs(dst [][2]float64) [][2]float64 {
 	for i, f := range b.Free {
 		dst = append(dst, [2]float64{f, b.Swap[i]})

@@ -39,16 +39,19 @@ type MonitorSinkConfig struct {
 
 // MonitorSink feeds items into an online dual-counter aging monitor —
 // the detection stage of every live pipeline (agingmon, replay, chaos).
+// Each item's pairs are transposed into columns and folded through
+// DualMonitor.AddColumns, with or without tracing and recording: an
+// observed item runs the same kernels as an unobserved one.
 type MonitorSink struct {
 	mon       *aging.DualMonitor
 	cfg       MonitorSinkConfig
 	samples   int
 	lastPhase aging.Phase
 
-	// Scratch for the annotated (traced/recorded) Write path, reused
-	// across items so steady-state recording does not allocate.
-	tm   aging.StageNanos
-	recs []trace.Record
+	// Column scratch and the observed-path annotator, reused across
+	// items so the steady state does not allocate.
+	free, swap []float64
+	ann        Annotator
 }
 
 // NewMonitorSink attaches a sink to mon (which may carry restored
@@ -78,11 +81,21 @@ func (s *MonitorSink) WriteSampled(it Item, seq uint64) error {
 	if s.cfg.Watchdog.Pet() && s.cfg.OnResume != nil {
 		s.cfg.OnResume(s.samples)
 	}
+	s.free, s.swap = s.free[:0], s.swap[:0]
+	for _, p := range it.Pairs {
+		s.free = append(s.free, p[0])
+		s.swap = append(s.swap, p[1])
+	}
 	var jumps []aging.DualJump
-	if seq != 0 || s.cfg.Recorder != nil {
-		jumps = s.observe(it.Pairs, seq)
+	if seq == 0 && s.cfg.Recorder == nil {
+		jumps = s.mon.AddColumns(s.free, s.swap)
 	} else {
-		jumps = s.mon.AddBatch(it.Pairs)
+		ann := s.ann.Begin(s.mon, len(s.free), s.cfg.Recorder.Depth(), seq)
+		jumps = s.mon.AddColumns(s.free, s.swap, ann...)
+		for _, j := range jumps {
+			s.ann.Jump(j.Jump.SampleIndex, int(j.Counter)-1)
+		}
+		s.ann.End(s.free, s.swap, s.cfg.Tracer, s.cfg.Recorder, s.cfg.Source, 0)
 	}
 	if len(jumps) > 0 && s.cfg.OnJumps != nil {
 		s.cfg.OnJumps(s.samples, jumps)
@@ -98,64 +111,6 @@ func (s *MonitorSink) WriteSampled(it Item, seq uint64) error {
 }
 
 func (s *MonitorSink) Close() error { return nil }
-
-// observe is the annotated Write path: per-pair AddTraced (verdict-
-// identical to AddBatch), one flight record per pair, and — when this
-// item drew a tracer sequence — detect plus stream-stage spans. The
-// stream stages ran interleaved inside detect, so each accumulated total
-// is exported as one span ending at the detect boundary, matching the
-// ingest registry's convention.
-func (s *MonitorSink) observe(pairs [][2]float64, seq uint64) []aging.DualJump {
-	var tm *aging.StageNanos
-	var detectStart time.Time
-	if seq != 0 {
-		s.tm = aging.StageNanos{}
-		tm = &s.tm
-		detectStart = time.Now()
-	}
-	recs := s.recs[:0]
-	var all []aging.DualJump
-	wall := time.Now().UnixNano()
-	for _, p := range pairs {
-		js := s.mon.AddTraced(p[0], p[1], tm)
-		all = append(all, js...)
-		if s.cfg.Recorder != nil {
-			scoreFree, scoreSwap := s.mon.LastStats()
-			recs = append(recs, trace.Record{
-				Seq:       uint64(s.mon.SamplesSeen()),
-				Wall:      wall,
-				Free:      p[0],
-				Swap:      p[1],
-				ScoreFree: scoreFree,
-				ScoreSwap: scoreSwap,
-				Phase:     s.mon.Phase().String(),
-				Jumps:     len(js),
-			})
-		}
-	}
-	if seq != 0 {
-		end := time.Now()
-		s.cfg.Tracer.Record(trace.StageDetect, s.cfg.Source, 0, seq, detectStart, end.Sub(detectStart))
-		stages := [...]int64{s.tm.Est, s.tm.Vol, s.tm.Std, s.tm.Gate}
-		for i, ns := range stages {
-			d := time.Duration(ns)
-			s.cfg.Tracer.Record(trace.StageEst+trace.Stage(i), s.cfg.Source, 0, seq, end.Add(-d), d)
-		}
-		if n := len(recs); n > 0 {
-			recs[n-1].TraceSeq = seq
-			recs[n-1].StageNs[trace.StageEst] = s.tm.Est
-			recs[n-1].StageNs[trace.StageVol] = s.tm.Vol
-			recs[n-1].StageNs[trace.StageStd] = s.tm.Std
-			recs[n-1].StageNs[trace.StageGate] = s.tm.Gate
-			recs[n-1].StageNs[trace.StageDetect] = end.Sub(detectStart).Nanoseconds()
-		}
-	}
-	if len(recs) > 0 {
-		s.cfg.Recorder.Append(recs)
-	}
-	s.recs = recs[:0] // keep grown capacity for the next item
-	return all
-}
 
 // TraceSink accumulates items into the four collector counter columns
 // and dumps them as CSV — the recording stage of stressgen. Items must

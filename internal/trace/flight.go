@@ -69,14 +69,15 @@ func (f *FlightRecorder) Append(recs []Record) {
 		return
 	}
 	f.mu.Lock()
-	for _, r := range recs {
-		f.ring[f.next] = r
-		f.next++
+	f.total += uint64(len(recs))
+	for len(recs) > 0 {
+		n := copy(f.ring[f.next:], recs)
+		recs = recs[n:]
+		f.next += n
 		if f.next == len(f.ring) {
 			f.next, f.filled = 0, true
 		}
 	}
-	f.total += uint64(len(recs))
 	f.mu.Unlock()
 }
 
