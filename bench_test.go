@@ -90,44 +90,13 @@ func BenchmarkMonitorAdd(b *testing.B) {
 	}
 }
 
-// BenchmarkMonitorAddBatch measures the batched entry point at several
-// batch sizes, normalized to ns/sample against BenchmarkMonitorAdd. The
-// per-sample kernel work is identical (batching is a wire/queue
-// optimization); this pins down the remaining per-call overhead.
-func BenchmarkMonitorAddBatch(b *testing.B) {
-	for _, size := range []int{16, 256} {
-		b.Run(fmt.Sprintf("size=%d", size), func(b *testing.B) {
-			mon, err := agingmf.NewMonitor(agingmf.DefaultMonitorConfig())
-			if err != nil {
-				b.Fatal(err)
-			}
-			xs, err := agingmf.FBM(1<<16, 0.6, agingmf.NewRand(1))
-			if err != nil {
-				b.Fatal(err)
-			}
-			off := 0
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if off+size > len(xs) {
-					off = 0
-				}
-				mon.AddBatch(xs[off : off+size])
-				off += size
-			}
-			b.StopTimer()
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*size), "ns/sample")
-		})
-	}
-}
-
 // BenchmarkMonitorAddColumns measures the columnar kernel chain — the
 // batch-first path binary wire frames take — at the frame sizes the
 // binary protocol ships, normalized to ns/sample against
-// BenchmarkMonitorAdd and BenchmarkMonitorAddBatch. Unlike AddBatch,
-// which loops the per-sample pipeline, AddColumns runs stage-at-a-time
-// kernels (block extrema, memoized regression), so this is the number
-// the ISSUE's end-to-end throughput target rests on.
+// BenchmarkMonitorAdd. Unlike Add, which runs the per-sample pipeline,
+// AddColumns runs stage-at-a-time kernels (block extrema, memoized
+// regression), so this is the number the binary wire path's throughput
+// rests on.
 func BenchmarkMonitorAddColumns(b *testing.B) {
 	for _, size := range []int{256, 4096} {
 		b.Run(fmt.Sprintf("size=%d", size), func(b *testing.B) {

@@ -281,7 +281,7 @@ func run(args []string, stdout io.Writer) error {
 		if err != nil {
 			return fmt.Errorf("cluster: %w", err)
 		}
-		srv.SetLineRouter(node)
+		srv.SetRouter(node)
 		h := node.Handler()
 		srv.Mount("/cluster/", h)
 		srv.Mount("/api/cluster", h)

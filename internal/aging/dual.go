@@ -64,45 +64,18 @@ func NewDualMonitor(cfg Config) (*DualMonitor, error) {
 func (d *DualMonitor) Config() Config { return d.cfg }
 
 // Add consumes one sample of each counter (they are sampled together) and
-// returns any jumps fired by this pair of samples.
+// returns any jumps fired by this pair of samples, free before swap.
 func (d *DualMonitor) Add(freeMemory, usedSwap float64) []DualJump {
-	var fired []DualJump
-	if j, ok := d.free.Add(freeMemory); ok {
-		fired = append(fired, DualJump{Counter: CounterFreeMemory, Jump: j})
-	}
-	if j, ok := d.swap.Add(usedSwap); ok {
-		fired = append(fired, DualJump{Counter: CounterUsedSwap, Jump: j})
-	}
-	d.jumps = append(d.jumps, fired...)
-	return fired
-}
-
-// AddBatch consumes a slice of counter-sample pairs (pair[0] = free
-// memory, pair[1] = used swap) and returns the jumps fired while
-// consuming it. It is equivalent to calling Add per pair — the per-pair
-// free-then-swap alarm ordering is preserved — but lets callers move
-// many samples per call (and, in the ingestion daemon, per channel send).
-func (d *DualMonitor) AddBatch(pairs [][2]float64) []DualJump {
-	var fired []DualJump
-	for _, p := range pairs {
-		if j, ok := d.free.Add(p[0]); ok {
-			fired = append(fired, DualJump{Counter: CounterFreeMemory, Jump: j})
-		}
-		if j, ok := d.swap.Add(p[1]); ok {
-			fired = append(fired, DualJump{Counter: CounterUsedSwap, Jump: j})
-		}
-	}
-	d.jumps = append(d.jumps, fired...)
-	return fired
+	return d.AddTraced(freeMemory, usedSwap, nil)
 }
 
 // AddColumns consumes one column per counter (free[i] and swap[i] are
 // sample pair i) through the batch-first Monitor.AddColumns kernel.
-// State and returned jumps are identical to AddBatch over the same
-// pairs: each per-counter monitor evolves independently, and the two
-// fired lists are merged back into the per-pair free-then-swap arrival
-// order by sample index (jump indices are strictly increasing within
-// each counter, and a pair's free alarm precedes its swap alarm).
+// State and returned jumps are identical to calling Add per pair: each
+// per-counter monitor evolves independently, and the two fired lists
+// are merged back into the per-pair free-then-swap arrival order by
+// sample index (jump indices are strictly increasing within each
+// counter, and a pair's free alarm precedes its swap alarm).
 //
 // The optional ann (at most one; nil or absent is the hot path) observes
 // the batch for the flight recorder and the tracer: see Annotation.

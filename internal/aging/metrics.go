@@ -95,11 +95,11 @@ func (m *Monitor) observeAdd(start time.Time, fired bool) {
 	}
 }
 
-// observeAddBatch records the telemetry of one AddBatch call: one
-// latency observation for the whole batch (the histogram measures call
-// latency, and AddBatch is one call) and bulk counter updates. The
+// observeColumns records the telemetry of one AddColumns call: one
+// latency observation for the whole column (the histogram measures call
+// latency, and AddColumns is one call) and bulk counter updates. The
 // caller guarantees m.met != nil.
-func (m *Monitor) observeAddBatch(start time.Time, n, fired int) {
+func (m *Monitor) observeColumns(start time.Time, n, fired int) {
 	m.met.addSeconds.Observe(time.Since(start).Seconds())
 	m.met.samples.Add(uint64(n))
 	if m.volsSeen > 0 {

@@ -249,7 +249,7 @@ type Jump struct {
 }
 
 // Monitor is the online aging detector. Feed it one counter sample at a
-// time with Add (or a slice at a time with AddBatch); inspect Phase,
+// time with Add (or a column at a time with AddColumns); inspect Phase,
 // Jumps and the derived series at any time. Not safe for concurrent use.
 //
 // Monitor composes the internal/stream pipeline stages:
@@ -322,42 +322,10 @@ func (m *Monitor) SamplesSeen() int { return m.seen }
 func (m *Monitor) Lag() int { return m.est.Lag() }
 
 // Add consumes one counter sample. It returns a Jump and true when this
-// sample completes evidence of a volatility jump.
-func (m *Monitor) Add(x float64) (Jump, bool) {
-	if m.met == nil {
-		return m.addSample(x)
-	}
-	start := time.Now()
-	j, fired := m.addSample(x)
-	m.observeAdd(start, fired)
-	return j, fired
-}
-
-// AddBatch consumes a slice of counter samples and returns the jumps
-// fired while consuming it, in order. It is byte-for-byte equivalent to
-// calling Add per sample (asserted by the parity tests) but amortizes the
-// instrumentation overhead — and, further up the stack, the channel and
-// parse cost of fleet ingestion — over the whole batch.
-func (m *Monitor) AddBatch(xs []float64) []Jump {
-	if m.met == nil {
-		return m.addBatch(xs)
-	}
-	start := time.Now()
-	fired := m.addBatch(xs)
-	m.observeAddBatch(start, len(xs), len(fired))
-	return fired
-}
-
-// addBatch is the un-instrumented AddBatch loop.
-func (m *Monitor) addBatch(xs []float64) []Jump {
-	var fired []Jump
-	for _, x := range xs {
-		if j, ok := m.addSample(x); ok {
-			fired = append(fired, j)
-		}
-	}
-	return fired
-}
+// sample completes evidence of a volatility jump. It is AddTraced
+// without timing: the per-sample path, and the oracle the column
+// kernel (AddColumns) is checked against.
+func (m *Monitor) Add(x float64) (Jump, bool) { return m.AddTraced(x, nil) }
 
 // AddColumns consumes a whole column of counter samples through the
 // batch-first kernel: the estimator runs rung-major over the column
@@ -380,7 +348,7 @@ func (m *Monitor) pushColumns(xs []float64, ann *Annotation, col int) []Jump {
 	}
 	start := time.Now()
 	fired := m.addColumns(xs, ann, col)
-	m.observeAddBatch(start, len(xs), len(fired))
+	m.observeColumns(start, len(xs), len(fired))
 	return fired
 }
 
@@ -586,9 +554,6 @@ func (m *Monitor) AddTraced(x float64, tm *StageNanos) (Jump, bool) {
 // recorder and is deliberately not part of SaveState snapshots.
 func (m *Monitor) LastStat() float64 { return m.lastStat }
 
-// addSample is the un-instrumented Add pipeline.
-func (m *Monitor) addSample(x float64) (Jump, bool) { return m.addSampleT(x, nil) }
-
 // addSampleT pushes the sample through the stream stages in order,
 // records emitted values in the retained histories, and turns a detector
 // alarm into a Jump. A non-nil tm times each stage push; the nil form is
@@ -750,7 +715,7 @@ func Analyze(s series.Series, cfg Config) (AnalysisResult, error) {
 	if s.Len() < 2*cfg.MaxRadius+cfg.VolatilityWindow+cfg.DetectorWarmup {
 		return AnalysisResult{}, fmt.Errorf("analyze %q: %d samples: %w", s.Name, s.Len(), ErrNotReady)
 	}
-	mon.AddBatch(s.Values)
+	mon.AddColumns(s.Values)
 	res := AnalysisResult{
 		Jumps:      mon.Jumps(),
 		FinalPhase: mon.Phase(),

@@ -10,11 +10,11 @@ import (
 	"agingmf/internal/workload"
 )
 
-// Online/offline/batch parity: the offline Analyze path, the
-// sample-at-a-time Add path, AddBatch at assorted batch sizes, and
-// bounded-history mode all drive the same internal/stream kernel, and
-// must produce identical jumps and phases — not merely close, identical,
-// including the serialized monitor state where the configs coincide.
+// Online/offline/column parity: the sample-at-a-time Add path is the
+// oracle, and the offline Analyze path, AddColumns at assorted chunk
+// sizes and bounded-history mode must reproduce it: identical jumps and
+// phases — not merely close, identical, including the serialized monitor
+// state where the configs coincide.
 
 // memsimTrace simulates one machine and returns its free-memory trace.
 func memsimTrace(t *testing.T, seed int64, n int) []float64 {
@@ -109,25 +109,21 @@ func TestMonitorParityAcrossEntryPoints(t *testing.T) {
 					t.Fatal("Analyze volatility series diverged from Add path")
 				}
 
-				// AddBatch at assorted batch sizes, including a trailing
-				// partial batch.
+				// AddColumns at assorted chunk sizes, including a trailing
+				// partial chunk.
 				for _, bs := range []int{1, 2, 7, 64, 333} {
 					mon, err := NewMonitor(cfg)
 					if err != nil {
 						t.Fatal(err)
 					}
-					var jumps []Jump
-					for i := 0; i < len(xs); i += bs {
-						end := min(i+bs, len(xs))
-						jumps = append(jumps, mon.AddBatch(xs[i:end])...)
-					}
-					sameJumps(t, "AddBatch", jumps, refJumps)
-					sameJumps(t, "AddBatch/Jumps()", mon.Jumps(), refJumps)
+					jumps := addColumnsChunked(mon, xs, bs)
+					sameJumps(t, "AddColumns", jumps, refJumps)
+					sameJumps(t, "AddColumns/Jumps()", mon.Jumps(), refJumps)
 					if mon.Phase() != ref.Phase() {
-						t.Fatalf("AddBatch(%d) phase %v, want %v", bs, mon.Phase(), ref.Phase())
+						t.Fatalf("AddColumns(%d) phase %v, want %v", bs, mon.Phase(), ref.Phase())
 					}
 					if !bytes.Equal(saveBytes(t, mon), refBlob) {
-						t.Fatalf("AddBatch(%d) state serialized differently from Add path", bs)
+						t.Fatalf("AddColumns(%d) state serialized differently from Add path", bs)
 					}
 				}
 
@@ -175,15 +171,15 @@ func TestDualMonitorBatchParity(t *testing.T) {
 		var jumps []DualJump
 		for i := 0; i < n; i += bs {
 			end := min(i+bs, n)
-			jumps = append(jumps, dual.AddBatch(pairs[i:end])...)
+			jumps = append(jumps, dual.AddColumns(free[i:end], swap[i:end])...)
 		}
 		want := ref.Jumps()
 		if len(jumps) != len(want) {
-			t.Fatalf("AddBatch(%d): %d jumps, want %d", bs, len(jumps), len(want))
+			t.Fatalf("AddColumns(%d): %d jumps, want %d", bs, len(jumps), len(want))
 		}
 		for i := range jumps {
 			if jumps[i] != want[i] {
-				t.Fatalf("AddBatch(%d): jump %d = %+v, want %+v", bs, i, jumps[i], want[i])
+				t.Fatalf("AddColumns(%d): jump %d = %+v, want %+v", bs, i, jumps[i], want[i])
 			}
 		}
 		blob, err := dual.SaveState()
@@ -191,7 +187,7 @@ func TestDualMonitorBatchParity(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(blob, refBlob) {
-			t.Fatalf("AddBatch(%d) dual state serialized differently from Add path", bs)
+			t.Fatalf("AddColumns(%d) dual state serialized differently from Add path", bs)
 		}
 	}
 }

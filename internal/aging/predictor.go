@@ -93,16 +93,6 @@ func (p *CrashPredictor) Add(freeMemory, usedSwap float64) {
 	p.swap = append(p.swap, usedSwap)
 }
 
-// AddBatch consumes a slice of sample pairs (pair[0] = free memory,
-// pair[1] = used swap), equivalent to calling Add per pair.
-func (p *CrashPredictor) AddBatch(pairs [][2]float64) {
-	p.dual.AddBatch(pairs)
-	for _, pr := range pairs {
-		p.free = append(p.free, pr[0])
-		p.swap = append(p.swap, pr[1])
-	}
-}
-
 // Phase returns the monitor's current aging phase.
 func (p *CrashPredictor) Phase() Phase { return p.dual.Phase() }
 

@@ -397,8 +397,12 @@ func RunCluster(ctx context.Context, cfg ClusterConfig) (ClusterReport, error) {
 				return rep, fmt.Errorf("chaos: %w", err)
 			}
 			n := 0
+			// The per-sample Add loop is the oracle: never the column
+			// kernels the cluster itself ran.
 			for _, c := range chunks {
-				ref.AddBatch(traces[i][cuts[c]:cuts[c+1]])
+				for _, p := range traces[i][cuts[c]:cuts[c+1]] {
+					ref.Add(p[0], p[1])
+				}
 				n += cuts[c+1] - cuts[c]
 			}
 			want, err := ref.SaveState()

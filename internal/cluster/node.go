@@ -341,8 +341,9 @@ func (n *Node) Holds(source string) bool {
 
 // IngestLine routes one wire line: locally if this node holds (or, per
 // the ring, should create) the source, otherwise forwarded to the
-// current owner. It satisfies the ingest server's line-router hook, so
-// the TCP and HTTP transports route through the cluster transparently.
+// current owner. With IngestColumns it satisfies the ingest server's
+// router hook (ingest.Router), so the TCP and HTTP transports route
+// through the cluster transparently.
 func (n *Node) IngestLine(defaultSource, line string) error {
 	id := ingest.PeekSource(defaultSource, line)
 	if id == "" {

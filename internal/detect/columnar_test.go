@@ -59,9 +59,19 @@ func addColumnsChunked(s *MonitorSet, pairs [][2]float64, chunk int) []Event {
 	return events
 }
 
+// addEach feeds pairs one at a time through Add: the per-sample oracle
+// the column kernels are checked against.
+func addEach(s *MonitorSet, pairs [][2]float64) []Event {
+	var events []Event
+	for _, p := range pairs {
+		events = append(events, s.Add(p[0], p[1])...)
+	}
+	return events
+}
+
 // TestSetAddColumnsParity requires MonitorSet.AddColumns to reproduce
-// AddBatch exactly — same events in the same order, same per-detector
-// SaveState bytes — for every detector mix and chunking.
+// the per-sample Add loop exactly — same events in the same order, same
+// per-detector SaveState bytes — for every detector mix and chunking.
 func TestSetAddColumnsParity(t *testing.T) {
 	pairs := columnarPairs(1, 3000)
 	for _, kinds := range columnarKindSets {
@@ -69,7 +79,7 @@ func TestSetAddColumnsParity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := ref.AddBatch(pairs)
+		want := addEach(ref, pairs)
 		if len(want) == 0 {
 			t.Fatalf("kinds=%v: reference fired no events; trace too tame", kinds)
 		}
@@ -91,7 +101,7 @@ func TestSetAddColumnsParity(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(gotState, refState) {
-				t.Fatalf("kinds=%v chunk=%d: SaveState diverged from AddBatch", kinds, chunk)
+				t.Fatalf("kinds=%v chunk=%d: SaveState diverged from per-sample Add", kinds, chunk)
 			}
 		}
 	}
@@ -107,7 +117,7 @@ func TestSetAddColumnsMergesDetectorOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := ref.AddBatch(pairs)
+	want := addEach(ref, pairs)
 	set, err := New([]string{KindHolder, KindAdaptive}, testConfig())
 	if err != nil {
 		t.Fatal(err)

@@ -85,26 +85,15 @@ func (s *MonitorSet) AddTraced(free, swap float64, tm *aging.StageNanos) []Event
 	return events
 }
 
-// AddBatch consumes a slice of counter-sample pairs (pair[0] = free
-// memory, pair[1] = used swap) and returns the events fired while
-// consuming it, in order. Equivalent to calling Add per pair.
-func (s *MonitorSet) AddBatch(pairs [][2]float64) []Event {
-	var events []Event
-	for _, p := range pairs {
-		events = append(events, s.AddTraced(p[0], p[1], nil)...)
-	}
-	return events
-}
-
 // AddColumns consumes one column per counter (free[i] and swap[i] are
 // sample pair i) through each detector's batch-first kernel. It is the
 // entry point of every multi-sample unit the daemon ingests: one call
 // per frame or batch line, no per-sample Sample construction or
-// interface dispatch. State and returned events are identical to
-// AddBatch over the same pairs — each detector's events arrive in
-// per-sample order, and the per-detector lists are merged back into the
-// per-sample, detector-configuration order the row path emits (asserted
-// by the columnar parity tests). A lone pair takes the per-sample path:
+// interface dispatch. State and returned events are identical to calling
+// Add per pair — each detector's events arrive in per-sample order, and
+// the per-detector lists are merged back into the per-sample,
+// detector-configuration order the row path emits (asserted by the
+// columnar parity tests). A lone pair takes the per-sample path:
 // the column kernels' per-call setup outweighs their per-sample saving
 // at n = 1. One text line per sample is agingd's line protocol, and
 // with 1-length columns there perfbench's fleet-text-lines workload

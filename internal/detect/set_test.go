@@ -208,7 +208,7 @@ func TestSetRoundTrip(t *testing.T) {
 	}
 	trace := agingPairs(23, 1400)
 	cut := 700
-	set.AddBatch(trace[:cut])
+	addEach(set, trace[:cut])
 	blob := mustSave(t, set)
 	restored, err := RestoreMonitorSet(blob)
 	if err != nil {
@@ -243,7 +243,9 @@ func TestRestoreLegacyDualBlob(t *testing.T) {
 	}
 	trace := agingPairs(31, 1400)
 	cut := 650
-	ref.AddBatch(trace[:cut])
+	for _, p := range trace[:cut] {
+		ref.Add(p[0], p[1])
+	}
 	legacy, err := ref.SaveState()
 	if err != nil {
 		t.Fatal(err)
@@ -258,8 +260,10 @@ func TestRestoreLegacyDualBlob(t *testing.T) {
 	if set.SamplesSeen() != cut {
 		t.Fatalf("restored SamplesSeen %d, want %d", set.SamplesSeen(), cut)
 	}
-	set.AddBatch(trace[cut:])
-	ref.AddBatch(trace[cut:])
+	addEach(set, trace[cut:])
+	for _, p := range trace[cut:] {
+		ref.Add(p[0], p[1])
+	}
 	_, states, err := DecodeStates(mustSave(t, set))
 	if err != nil {
 		t.Fatal(err)
@@ -278,7 +282,7 @@ func TestRestoreRejectsBadBlobs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	set.AddBatch(noisePairs(3, 200, 100, 5, 1))
+	addEach(set, noisePairs(3, 200, 100, 5, 1))
 	blob := mustSave(t, set)
 	if _, err := RestoreMonitorSet(blob[:len(blob)/2]); err == nil {
 		t.Error("truncated set blob accepted")
@@ -318,7 +322,7 @@ func TestStatus(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	set.AddBatch(agingPairs(11, 1200))
+	addEach(set, agingPairs(11, 1200))
 	sts := set.Status()
 	if len(sts) != 3 {
 		t.Fatalf("status has %d sections, want 3", len(sts))

@@ -135,19 +135,28 @@ func FuzzParseBatch(f *testing.F) {
 	})
 }
 
+// TestIngestBatchValidation covers a multi-sample unit's way in: a batch
+// with no source of its own and no default is refused with ErrNoSource,
+// one under a bad id with ErrBadLine, one with a non-finite value past
+// the first with ErrBadSample, an empty column batch is a no-op, and
+// after Close a batch is refused with ErrClosed and all its samples are
+// counted as dropped.
 func TestIngestBatchValidation(t *testing.T) {
 	r, err := NewRegistry(Config{Monitor: testMonitorConfig()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	if err := r.IngestBatch(Batch{Pairs: [][2]float64{{1, 2}}}); !errors.Is(err, ErrNoSource) {
+	if err := r.IngestLine("", "batch;1 2"); !errors.Is(err, ErrNoSource) {
 		t.Errorf("sourceless batch: err = %v, want ErrNoSource", err)
 	}
-	if err := r.IngestBatch(Batch{Source: "a", Pairs: [][2]float64{{1, 2}, {math.NaN(), 0}}}); !errors.Is(err, ErrBadSample) {
+	if err := r.IngestLine("bad peer", "batch;1 2;3 4"); !errors.Is(err, ErrBadLine) {
+		t.Errorf("batch under an invalid default source: err = %v, want ErrBadLine", err)
+	}
+	if err := r.IngestColumns(columnBatch("a", [][2]float64{{1, 2}, {math.NaN(), 0}})); !errors.Is(err, ErrBadSample) {
 		t.Errorf("non-finite batch: err = %v, want ErrBadSample", err)
 	}
-	if err := r.IngestBatch(Batch{Source: "a"}); err != nil {
+	if err := r.IngestColumns(columnBatch("a", nil)); err != nil {
 		t.Errorf("empty batch: err = %v, want nil no-op", err)
 	}
 	if err := r.Close(); err != nil {
@@ -156,15 +165,18 @@ func TestIngestBatchValidation(t *testing.T) {
 	if got := r.Accepted(); got != 0 {
 		t.Errorf("accepted = %d after only rejected batches", got)
 	}
-	if err := r.IngestBatch(Batch{Source: "a", Pairs: [][2]float64{{1, 2}}}); !errors.Is(err, ErrClosed) {
+	if err := r.IngestLine("peer", "batch;source=a;1 2;3 4"); !errors.Is(err, ErrClosed) {
 		t.Errorf("batch after close: err = %v, want ErrClosed", err)
+	}
+	if got := r.Dropped(); got != 2 {
+		t.Errorf("dropped = %d after a 2-pair batch hit a closed registry, want 2", got)
 	}
 }
 
-// TestRegistryBatchParity feeds the same traces per-sample, per-batch
-// (mixed chunk sizes via IngestBatch), and as batch; wire lines through
-// IngestLine; all three registries must hold byte-identical monitor
-// state and exact sample accounting.
+// TestRegistryBatchParity feeds the same traces as batch; wire lines of
+// mixed sizes and as one whole-trace batch line through IngestLine; both
+// registries must hold monitor state byte-identical to the per-sample
+// reference, with exact sample accounting.
 func TestRegistryBatchParity(t *testing.T) {
 	const nSources, nSamples = 6, 240
 	cfg := testMonitorConfig()
@@ -199,7 +211,7 @@ func TestRegistryBatchParity(t *testing.T) {
 			if off+n > len(tr) {
 				n = len(tr) - off
 			}
-			if err := r.IngestBatch(Batch{Source: id, Pairs: tr[off : off+n]}); err != nil {
+			if err := r.IngestLine("fallback", FormatBatch(Batch{Source: id, Pairs: tr[off : off+n]})); err != nil {
 				return err
 			}
 			off += n
@@ -221,7 +233,7 @@ func TestRegistryBatchParity(t *testing.T) {
 	for i, tr := range traces {
 		id := fmt.Sprintf("src-%03d", i)
 		want := referenceState(t, cfg, tr)
-		for name, r := range map[string]*Registry{"IngestBatch": batched, "IngestLine": lined} {
+		for name, r := range map[string]*Registry{"chunked": batched, "whole": lined} {
 			got, err := r.MonitorState(id)
 			if err != nil {
 				t.Fatalf("%s state %s: %v", name, id, err)

@@ -72,40 +72,9 @@ func BenchmarkIngestLine(b *testing.B) {
 	}
 }
 
-// BenchmarkIngestBatch measures the batched hot path at several batch
-// sizes, normalized to ns/sample so it reads against BenchmarkShardRouter
-// and BenchmarkIngestLine (size=1 is the degenerate batch). The paper's
-// fleet scenario ships one batch per scrape interval per machine.
-func BenchmarkIngestBatch(b *testing.B) {
-	for _, size := range []int{1, 16, 256} {
-		b.Run(fmt.Sprintf("size=%d", size), func(b *testing.B) {
-			r, err := NewRegistry(Config{Monitor: testMonitorConfig()})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer r.Close()
-			pairs := make([][2]float64, size)
-			for i := range pairs {
-				pairs[i] = [2]float64{1e9 - float64(i), float64(i)}
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := r.IngestBatch(Batch{Source: "bench-0000", Pairs: pairs}); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*size), "ns/sample")
-			if err := r.Close(); err != nil {
-				b.Fatal(err)
-			}
-		})
-	}
-}
-
-// BenchmarkIngestBatchLine measures the batched wire path: one parse +
-// one route for a whole scrape interval.
+// BenchmarkIngestBatchLine measures the batched text wire path: one
+// parse, one transpose into a column batch and one route for a whole
+// scrape interval.
 func BenchmarkIngestBatchLine(b *testing.B) {
 	for _, size := range []int{16, 256} {
 		b.Run(fmt.Sprintf("size=%d", size), func(b *testing.B) {
@@ -182,9 +151,9 @@ func BenchmarkParseLine(b *testing.B) {
 
 // BenchmarkIngestBinary measures the binary columnar hot path,
 // normalized to ns/sample so it reads directly against
-// BenchmarkIngestBatch (the text batch path over the same values): frame
-// decode into a pooled ColumnarBatch, validate, route, and the shard
-// goroutine's batch-kernel fold.
+// BenchmarkIngestBatchLine (the text batch path over the same values):
+// frame decode into a pooled ColumnarBatch, validate, route, and the
+// shard goroutine's batch-kernel fold.
 func BenchmarkIngestBinary(b *testing.B) {
 	for _, size := range []int{16, 256, 4096} {
 		b.Run(fmt.Sprintf("size=%d", size), func(b *testing.B) {
@@ -225,14 +194,23 @@ func BenchmarkIngestBinary(b *testing.B) {
 	}
 }
 
-// TestBinaryOverTextBudget enforces the binary wire path's performance
-// contract in CI: decoding and folding columnar frames must stay at
-// least 4x faster per sample than parsing and routing the equivalent
-// batched text lines. Both arms run the full wire path (decode/parse →
-// route → shard kernel, registry closed inside the timed window so the
-// drain is accounted). Timing assertions are noisy under parallel test
-// load, so the check runs in isolation via `make bench-smoke`
-// (AGINGMF_BINARY_BUDGET=1).
+// binaryEdgeBudget is TestBinaryOverTextBudget's floor on the text/binary
+// edge cost ratio. On a 2-vCPU VM the test read 39.4–41.0x over 13 runs
+// (text 84–110 ns/sample, binary 2.0–3.1), and 20.7x with DecodeFrame
+// made to decode every frame twice. The floor sits between the two: a
+// doubled decode cost trips it, the run-to-run spread (~4%) does not.
+const binaryEdgeBudget = 25.0
+
+// TestBinaryOverTextBudget enforces the binary wire's reason to exist.
+// Past the edge a batch; line and a frame take one path — both become a
+// pooled column batch that the same enqueue, shard and kernels consume —
+// so all the binary wire buys is at the edge: decoding a frame must stay
+// at least binaryEdgeBudget times cheaper per sample than parsing and
+// transposing the same samples from batch; lines. Both arms cut one
+// memsim trace into 256-sample units; the estimator is the overhead
+// budgets' median paired ratio (overheadRatio). Timing assertions are
+// noisy under parallel test load, so the check runs in isolation via
+// `make bench-smoke` (AGINGMF_BINARY_BUDGET=1).
 func TestBinaryOverTextBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("timing assertion is meaningless under the race detector")
@@ -244,81 +222,55 @@ func TestBinaryOverTextBudget(t *testing.T) {
 		t.Skip("timing assertion runs in isolation via `make bench-smoke` (AGINGMF_BINARY_BUDGET=1)")
 	}
 	const (
-		iters = 2000
-		size  = 256
+		unit = 256
+		// Passes over the trace per timed run, sized so each arm runs
+		// for ~10 ms.
+		textPasses   = 16
+		binaryPasses = 800
 	)
-	pairs := make([][2]float64, size)
-	for i := range pairs {
-		pairs[i] = [2]float64{1e9 - float64(i), float64(i)}
+	tr := leakTrace(t, 1, 1.2, 4096)
+	var lines []string
+	var frames [][]byte
+	for off := 0; off < len(tr); off += unit {
+		end := min(off+unit, len(tr))
+		lines = append(lines, FormatBatch(Batch{Source: "m000", Pairs: tr[off:end]}))
+		frames = append(frames, frameOf(t, "m000", tr[off:end]))
 	}
-	newReg := func() *Registry {
-		r, err := NewRegistry(Config{Monitor: testMonitorConfig()})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return r
-	}
-	line := FormatBatch(Batch{Source: "bench-0000", Pairs: pairs})
-	textRun := func() time.Duration {
-		r := newReg()
-		start := time.Now()
-		for i := 0; i < iters; i++ {
-			if err := r.IngestLine("peer", line); err != nil {
-				t.Fatal(err)
+	text := func() time.Duration {
+		sw := startStopwatch()
+		for p := 0; p < textPasses; p++ {
+			for _, line := range lines {
+				msg, err := parseUnit(line)
+				if err != nil {
+					t.Fatal(err)
+				}
+				msg.cols.Release()
 			}
 		}
-		if err := r.Close(); err != nil {
-			t.Fatal(err)
-		}
-		return time.Since(start)
+		return sw.elapsed() / textPasses
 	}
-	cb := transport.AcquireColumnarBatch()
-	cb.Source = "bench-0000"
-	for _, p := range pairs {
-		cb.Free = append(cb.Free, p[0])
-		cb.Swap = append(cb.Swap, p[1])
-	}
-	frame, err := transport.AppendFrame(nil, cb)
-	cb.Release()
-	if err != nil {
-		t.Fatal(err)
-	}
-	intern := func(raw []byte) string { return "bench-0000" }
-	binaryRun := func() time.Duration {
-		r := newReg()
-		start := time.Now()
-		for i := 0; i < iters; i++ {
-			dec := transport.AcquireColumnarBatch()
-			if err := transport.DecodeFrame(frame, dec, intern); err != nil {
-				t.Fatal(err)
-			}
-			if err := r.IngestColumns(dec); err != nil {
-				t.Fatal(err)
+	intern := func(raw []byte) string { return "m000" }
+	binary := func() time.Duration {
+		sw := startStopwatch()
+		for p := 0; p < binaryPasses; p++ {
+			for _, frame := range frames {
+				cb := transport.AcquireColumnarBatch()
+				if err := transport.DecodeFrame(frame, cb, intern); err != nil {
+					t.Fatal(err)
+				}
+				cb.Release()
 			}
 		}
-		if err := r.Close(); err != nil {
-			t.Fatal(err)
-		}
-		return time.Since(start)
+		return sw.elapsed() / binaryPasses
 	}
-	// Interleave five rounds and keep the fastest of each arm — the
-	// minimum is the least-noisy estimator on a shared machine; the first
-	// round doubles as a warmup for code paths and pools.
-	text, binary := time.Duration(1<<62), time.Duration(1<<62)
-	for round := 0; round < 5; round++ {
-		if d := textRun(); d < text {
-			text = d
-		}
-		if d := binaryRun(); d < binary {
-			binary = d
-		}
-	}
-	speedup := float64(text) / float64(binary)
-	perSample := float64(binary.Nanoseconds()) / float64(iters*size)
-	t.Logf("text: %v for %d samples; binary: %v (%.1f ns/sample); speedup %.2fx",
-		text, iters*size, binary, perSample, speedup)
-	if speedup < 4 {
-		t.Fatalf("binary frames are only %.2fx faster than text batch lines (text %v, binary %v); budget is 4x",
-			speedup, text, binary)
+	text() // warm up code paths and pools once
+	binary()
+	ratio := overheadRatio(budgetPairs, binary, text)
+	perSample := func(pass time.Duration) float64 { return float64(pass.Nanoseconds()) / float64(len(tr)) }
+	t.Logf("%d samples in %d-sample units: text %.1f ns/sample, binary %.2f ns/sample (one more run each); median paired ratio %.1fx",
+		len(tr), unit, perSample(text()), perSample(binary()), ratio)
+	if ratio < binaryEdgeBudget {
+		t.Fatalf("decoding a frame is only %.1fx cheaper per sample than parsing a batch; line; budget is %.0fx",
+			ratio, binaryEdgeBudget)
 	}
 }

@@ -41,20 +41,23 @@ func frameOf(t testing.TB, id string, pairs [][2]float64) []byte {
 	return frame
 }
 
-// TestIngestColumnsParity pins the tentpole property at the registry
-// boundary: the same samples pushed as columnar batches or as text
-// batches leave every source's detector state byte-for-byte identical.
+// TestIngestColumnsParity pins the column path at the registry
+// boundary: the same samples pushed as columnar batches or one Ingest
+// call per sample (the per-sample oracle) leave the source's detector
+// state byte-for-byte identical.
 func TestIngestColumnsParity(t *testing.T) {
 	pairs := columnarTestPairs(900)
 	cfg := Config{Shards: 2, Monitor: testMonitorConfig()}
 
-	text, err := NewRegistry(cfg)
+	rows, err := NewRegistry(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer text.Close()
-	if err := text.IngestBatch(Batch{Source: "m-1", Pairs: pairs}); err != nil {
-		t.Fatal(err)
+	defer rows.Close()
+	for _, p := range pairs {
+		if err := rows.Ingest(Sample{Source: "m-1", Free: p[0], Swap: p[1]}); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	cols, err := NewRegistry(cfg)
@@ -77,13 +80,13 @@ func TestIngestColumnsParity(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := text.Drain(); err != nil {
+	if err := rows.Drain(); err != nil {
 		t.Fatal(err)
 	}
 	if err := cols.Drain(); err != nil {
 		t.Fatal(err)
 	}
-	want, err := text.MonitorState("m-1")
+	want, err := rows.MonitorState("m-1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +95,7 @@ func TestIngestColumnsParity(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, want) {
-		t.Fatal("columnar ingest diverged from text batch ingest")
+		t.Fatal("columnar ingest diverged from per-sample ingest")
 	}
 	if acc := cols.Accepted(); acc != uint64(len(pairs)) {
 		t.Fatalf("accepted %d, want %d", acc, len(pairs))
@@ -384,8 +387,12 @@ func FuzzBinaryFrame(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		// The text side is the per-sample oracle: one Add per parsed pair.
 		evCols := viaCols.AddColumns(cb.Free, cb.Swap)
-		evText := viaText.AddBatch(parsed.Pairs)
+		var evText []detect.Event
+		for _, p := range parsed.Pairs {
+			evText = append(evText, viaText.Add(p[0], p[1])...)
+		}
 		if len(evCols) != len(evText) {
 			t.Fatalf("verdicts diverged: %d columnar vs %d text events", len(evCols), len(evText))
 		}

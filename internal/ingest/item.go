@@ -29,30 +29,3 @@ func ParseItem(line string) (transport.Item, error) {
 func NewLineSource(r io.Reader) *transport.LineSource {
 	return transport.NewLines(r, ParseItem)
 }
-
-// RegistrySink feeds transport items into a sharded fleet registry —
-// the ingestion Sink. Items keep their own source identity; pairs from
-// an item run through the batch path (one shard handoff per item).
-type RegistrySink struct {
-	// Reg is the destination registry.
-	Reg *Registry
-	// Default keys items that carry no source of their own, exactly as
-	// a transport supplies the peer host on the wire.
-	Default string
-}
-
-func (s *RegistrySink) Write(it transport.Item) error {
-	if len(it.Pairs) == 0 {
-		return nil
-	}
-	id := it.Source
-	if id == "" {
-		id = s.Default
-	}
-	if len(it.Pairs) == 1 {
-		return s.Reg.Ingest(Sample{Source: id, Free: it.Pairs[0][0], Swap: it.Pairs[0][1]})
-	}
-	return s.Reg.IngestBatch(Batch{Source: id, Pairs: it.Pairs})
-}
-
-func (s *RegistrySink) Close() error { return nil }

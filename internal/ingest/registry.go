@@ -150,15 +150,22 @@ func (c Config) DetectorConfig() detect.Config {
 	return dc
 }
 
-// shardMsg is one unit of shard work: a sample, a batch of samples for
-// one source, a columnar batch from the binary wire, or a control
-// closure to run on the shard goroutine (state snapshots use this to
-// serialize with the sample stream instead of locking the monitors).
+// shardMsg is one unit of shard work, in exactly one of three forms: a
+// lone sample pair carried inline (free, swap), a pooled column batch
+// (a binary frame, or a batch; line transposed at the edge) that the
+// shard releases after use, or a control closure to run on the shard
+// goroutine (state snapshots use this to serialize with the sample
+// stream instead of locking the monitors). id is the unit's source in
+// either sample form. A lone pair stays inline because a prototype that
+// pooled one-sample batches instead raised perfbench's fleet-text-lines
+// daemon CPU per sample by 7–13% (2,692 → 2,868 and 2,682 → 3,020 ns,
+// two alternating pairs); fleet-text-lines and fleet-binary sit on
+// either side of this choice.
 type shardMsg struct {
-	s     Sample
-	batch *Batch
-	cols  *transport.ColumnarBatch
-	ctl   *ctlMsg
+	id         string
+	free, swap float64
+	cols       *transport.ColumnarBatch
+	ctl        *ctlMsg
 
 	// seq is the tracer sequence of a sampled unit (0 = untraced) and
 	// enq its enqueue time (UnixNano), so the shard can measure the
@@ -188,9 +195,9 @@ type shard struct {
 	samplesCtr *obs.Counter
 	depthGauge *obs.Gauge
 
-	// Scratch owned by the shard goroutine: the columns a text unit is
-	// transposed into, and the observed (traced / flight-recorded) path's
-	// annotator.
+	// Scratch owned by the shard goroutine: the 1-length columns an
+	// inline pair is handed to the kernels in, and the observed (traced /
+	// flight-recorded) path's annotator.
 	free, swap []float64
 	ann        transport.Annotator
 }
@@ -397,115 +404,36 @@ func (r *Registry) shardIndex(id string) int {
 // full shard queue blocks (backpressure); with DropWhenFull it returns
 // ErrQueueFull and counts the drop. After Close it returns ErrClosed.
 func (r *Registry) Ingest(s Sample) error {
-	return r.ingest(s, r.tr.Sample())
+	return r.enqueue(shardMsg{id: s.Source, free: s.Free, swap: s.Swap}, r.tr.Sample())
 }
 
-// ingest is Ingest with the unit's tracer sequence already drawn (0 =
-// untraced) — IngestLine draws it earlier so the parse stage is covered by
-// the same sampled unit.
-func (r *Registry) ingest(s Sample, seq uint64) error {
-	if s.Source == "" {
-		return ErrNoSource
-	}
-	if math.IsNaN(s.Free) || math.IsInf(s.Free, 0) || math.IsNaN(s.Swap) || math.IsInf(s.Swap, 0) {
-		return ErrBadSample
-	}
-	// Sender registration is an atomic counter, not a WaitGroup: a
-	// WaitGroup Add racing a parked Wait is a documented misuse panic,
-	// and Ingest legitimately races Close. The order — increment, then
-	// check the closing flag — pairs with Close's order — set the flag,
-	// then poll the counter — so either this sender sees the flag and
-	// backs out, or Close sees the sender and waits for it.
-	r.senders.Add(1)
-	defer r.senders.Add(-1)
-	if r.closing.Load() {
-		r.drop("shutdown")
-		return ErrClosed
-	}
-	sh := r.shards[r.shardIndex(s.Source)]
-	msg := shardMsg{s: s}
-	if seq != 0 {
-		msg.seq, msg.enq = seq, time.Now().UnixNano()
-	}
-	if r.cfg.DropWhenFull {
-		select {
-		case sh.ch <- msg:
-		default:
-			r.drop("queue_full")
-			return ErrQueueFull
-		}
-	} else {
-		select {
-		case sh.ch <- msg:
-		case <-r.stopc:
-			r.drop("shutdown")
-			return ErrClosed
-		}
-	}
-	sh.depthGauge.Set(float64(sh.depth.Add(1)))
-	return nil
-}
-
-// IngestBatch routes a run of samples for one source to its shard as a
-// single unit: one queue slot and one channel send for the whole batch,
-// which is where the >= 2x samples/sec of batched ingestion comes from
-// (see BenchmarkIngestBatch). The shard transposes the pairs into
-// columns for the same column kernels binary frames take, so verdicts
-// are byte-for-byte identical to per-sample Ingest calls.
-// Queueing semantics match Ingest; an empty batch is a no-op.
-func (r *Registry) IngestBatch(b Batch) error {
-	return r.ingestBatch(b, r.tr.Sample())
-}
-
-// ingestBatch is IngestBatch with the batch's tracer sequence already
-// drawn (a batch is one traced unit, however many pairs it carries).
-func (r *Registry) ingestBatch(b Batch, seq uint64) error {
-	if b.Source == "" {
-		return ErrNoSource
-	}
-	if len(b.Pairs) == 0 {
-		return nil
-	}
-	for _, p := range b.Pairs {
-		if math.IsNaN(p[0]) || math.IsInf(p[0], 0) || math.IsNaN(p[1]) || math.IsInf(p[1], 0) {
-			return ErrBadSample
-		}
-	}
-	// Same sender/closing protocol as Ingest; see the comment there.
-	r.senders.Add(1)
-	defer r.senders.Add(-1)
-	if r.closing.Load() {
-		r.dropN("shutdown", len(b.Pairs))
-		return ErrClosed
-	}
-	sh := r.shards[r.shardIndex(b.Source)]
-	msg := shardMsg{batch: &b}
-	if seq != 0 {
-		msg.seq, msg.enq = seq, time.Now().UnixNano()
-	}
-	if r.cfg.DropWhenFull {
-		select {
-		case sh.ch <- msg:
-		default:
-			r.dropN("queue_full", len(b.Pairs))
-			return ErrQueueFull
-		}
-	} else {
-		select {
-		case sh.ch <- msg:
-		case <-r.stopc:
-			r.dropN("shutdown", len(b.Pairs))
-			return ErrClosed
-		}
-	}
-	sh.depthGauge.Set(float64(sh.depth.Add(1)))
-	return nil
+// IngestColumns routes one columnar batch (the decoded form of a binary
+// wire frame) to its source's shard as a single unit: one queue slot
+// and one channel send for the whole frame. Ownership of cb transfers to
+// the registry on every call: the shard releases it back to the pool
+// after folding the columns into the detectors, and an error return has
+// already released it — the caller must not touch cb afterwards either
+// way.
+//
+// The shard hands the columns straight to detect.MonitorSet.AddColumns
+// — no per-sample dispatch, no row materialization — which is where the
+// binary path's throughput comes from (see BenchmarkIngestBinary). A
+// traced or flight-recorded source takes the same kernels, annotated, so
+// observability does not switch the path; verdicts and detector state
+// are byte-for-byte those of per-sample Ingest calls over the same
+// values. Queueing semantics match Ingest, applied to the frame whole:
+// a full shard queue blocks the producer (or drops all of it, counted,
+// with DropWhenFull).
+func (r *Registry) IngestColumns(cb *transport.ColumnarBatch) error {
+	return r.enqueue(shardMsg{id: cb.Source, cols: cb}, r.tr.Sample())
 }
 
 // IngestLine parses one wire line — single-sample or batch;-framed — and
 // routes it. Lines without a source= field are attributed to
 // defaultSource. Blank lines and '#' comments are accepted and ignored
-// (keep-alives).
+// (keep-alives). A batch line becomes a pooled column batch here, at the
+// edge, so from the queue on it takes exactly the path of a binary
+// frame.
 func (r *Registry) IngestLine(defaultSource, line string) error {
 	trimmed := trimLine(line)
 	if trimmed == "" {
@@ -518,34 +446,118 @@ func (r *Registry) IngestLine(defaultSource, line string) error {
 	if seq != 0 {
 		parseStart = time.Now()
 	}
-	if strings.HasPrefix(trimmed, BatchPrefix) {
-		b, err := ParseBatch(trimmed)
-		if err != nil {
-			r.badLines.Add(1)
-			r.met.badLines.Inc()
-			return err
-		}
-		if b.Source == "" {
-			b.Source = defaultSource
-		}
-		if seq != 0 {
-			r.tr.Record(trace.StageParse, b.Source, r.shardIndex(b.Source), seq, parseStart, time.Since(parseStart))
-		}
-		return r.ingestBatch(b, seq)
-	}
-	s, err := ParseLine(trimmed)
+	msg, err := parseUnit(trimmed)
 	if err != nil {
 		r.badLines.Add(1)
 		r.met.badLines.Inc()
 		return err
 	}
-	if s.Source == "" {
-		s.Source = defaultSource
+	if msg.id == "" {
+		msg.id = defaultSource
 	}
 	if seq != 0 {
-		r.tr.Record(trace.StageParse, s.Source, r.shardIndex(s.Source), seq, parseStart, time.Since(parseStart))
+		r.tr.Record(trace.StageParse, msg.id, r.shardIndex(msg.id), seq, parseStart, time.Since(parseStart))
 	}
-	return r.ingest(s, seq)
+	return r.enqueue(msg, seq)
+}
+
+// parseUnit parses one trimmed wire line into a shard unit: a sample
+// line into an inline pair, a batch; line into a pooled column batch —
+// the form a binary frame decodes to.
+func parseUnit(line string) (shardMsg, error) {
+	if !strings.HasPrefix(line, BatchPrefix) {
+		s, err := ParseLine(line)
+		return shardMsg{id: s.Source, free: s.Free, swap: s.Swap}, err
+	}
+	b, err := ParseBatch(line)
+	if err != nil {
+		return shardMsg{}, err
+	}
+	cb := transport.AcquireColumnarBatch()
+	cb.Source = b.Source
+	for _, p := range b.Pairs {
+		cb.Free = append(cb.Free, p[0])
+		cb.Swap = append(cb.Swap, p[1])
+	}
+	return shardMsg{id: b.Source, cols: cb}, nil
+}
+
+// enqueue is the one way a unit of samples — an inline pair or a column
+// batch of n — crosses into its source's shard, whichever wire it came
+// from. It vets the source id (ErrNoSource, or ErrBadLine as the parsers
+// do) and every value (ErrBadSample), registers the sender against
+// Close, and applies backpressure or, with DropWhenFull, drops the unit
+// whole, counting all n samples. A batch is never split. The registry
+// owns msg.cols from here: a unit that does not reach a shard is
+// released on the way out, and an empty one is a no-op.
+func (r *Registry) enqueue(msg shardMsg, seq uint64) (err error) {
+	n := 1
+	if cb := msg.cols; cb != nil {
+		n = cb.Len()
+		defer func() {
+			if err != nil || n == 0 {
+				cb.Release()
+			}
+		}()
+		if n == 0 {
+			return nil
+		}
+	}
+	if msg.id == "" {
+		return ErrNoSource
+	}
+	if err := validSource(msg.id); err != nil {
+		return err
+	}
+	// x-x is 0 exactly when x is finite (NaN and ±Inf both yield NaN,
+	// and NaN != 0), so one fused check rejects every non-finite value.
+	if d := msg.free - msg.free + msg.swap - msg.swap; d != 0 || (msg.cols != nil && !finite(msg.cols)) {
+		return ErrBadSample
+	}
+	// Sender registration is an atomic counter, not a WaitGroup: a
+	// WaitGroup Add racing a parked Wait is a documented misuse panic,
+	// and enqueue legitimately races Close. The order — increment, then
+	// check the closing flag — pairs with Close's order — set the flag,
+	// then poll the counter — so either this sender sees the flag and
+	// backs out, or Close sees the sender and waits for it.
+	r.senders.Add(1)
+	defer r.senders.Add(-1)
+	if r.closing.Load() {
+		r.dropN("shutdown", n)
+		return ErrClosed
+	}
+	sh := r.shards[r.shardIndex(msg.id)]
+	if seq != 0 {
+		msg.seq, msg.enq = seq, time.Now().UnixNano()
+	}
+	if r.cfg.DropWhenFull {
+		select {
+		case sh.ch <- msg:
+		default:
+			r.dropN("queue_full", n)
+			return ErrQueueFull
+		}
+	} else {
+		select {
+		case sh.ch <- msg:
+		case <-r.stopc:
+			r.dropN("shutdown", n)
+			return ErrClosed
+		}
+	}
+	sh.depthGauge.Set(float64(sh.depth.Add(1)))
+	return nil
+}
+
+// finite reports whether every value of the batch is finite (see the
+// fused check in enqueue).
+func finite(cb *transport.ColumnarBatch) bool {
+	for i := range cb.Free {
+		if d := cb.Free[i] - cb.Free[i] + cb.Swap[i] - cb.Swap[i]; d != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // trimLine strips whitespace and filters comment/blank lines.
@@ -555,12 +567,6 @@ func trimLine(line string) string {
 		return ""
 	}
 	return t
-}
-
-// drop counts one dropped sample by reason.
-func (r *Registry) drop(reason string) {
-	r.dropped.Add(1)
-	r.met.dropped.With(reason).Inc()
 }
 
 // dropN counts n dropped samples by reason (a rejected batch drops every
@@ -841,26 +847,18 @@ func (sh *shard) run() {
 		if msg.seq != 0 {
 			// The queue-wait span: enqueue time travels in the message so
 			// the wait is measured explicitly, not inferred from depth.
-			id := msg.s.Source
-			switch {
-			case msg.batch != nil:
-				id = msg.batch.Source
-			case msg.cols != nil:
-				id = msg.cols.Source
-			}
 			enq := time.Unix(0, msg.enq)
-			sh.reg.tr.Record(trace.StageQueue, id, sh.id, msg.seq, enq, time.Since(enq))
+			sh.reg.tr.Record(trace.StageQueue, msg.id, sh.id, msg.seq, enq, time.Since(enq))
 			sh.reg.tr.QueueDepth(sh.id, sh.depth.Load())
 		}
-		if msg.batch != nil {
-			sh.handleBatch(msg.batch, msg.seq)
+		if cb := msg.cols; cb != nil {
+			sh.handleCols(msg.id, cb.Free, cb.Swap, msg.seq)
+			cb.Release()
 			continue
 		}
-		if msg.cols != nil {
-			sh.handleColumns(msg.cols, msg.seq)
-			continue
-		}
-		sh.handle(msg.s, msg.seq)
+		sh.free = append(sh.free[:0], msg.free)
+		sh.swap = append(sh.swap[:0], msg.swap)
+		sh.handleCols(msg.id, sh.free, sh.swap, msg.seq)
 	}
 	for _, src := range sh.sources {
 		src.wd.Stop()
@@ -898,39 +896,17 @@ func (sh *shard) resolve(id string, n int) *source {
 	return src
 }
 
-// handle feeds one sample into its source's detector set — the
-// single-writer hot path. No locks are taken: the set is goroutine-owned
-// and the status mirror is atomics.
-func (sh *shard) handle(s Sample, seq uint64) {
-	sh.free = append(sh.free[:0], s.Free)
-	sh.swap = append(sh.swap[:0], s.Swap)
-	sh.handleCols(s.Source, sh.free, sh.swap, seq)
-}
-
-// handleBatch feeds a text batch into its source's detector set: the
-// pairs are transposed into the shard's column scratch and take the
-// binary frames' path, with one map lookup and one bookkeeping pass.
-func (sh *shard) handleBatch(b *Batch, seq uint64) {
-	sh.free, sh.swap = sh.free[:0], sh.swap[:0]
-	for _, p := range b.Pairs {
-		sh.free = append(sh.free, p[0])
-		sh.swap = append(sh.swap, p[1])
-	}
-	sh.handleCols(b.Source, sh.free, sh.swap, seq)
-}
-
 // handleCols is the one detection path of every unit — a sample, a text
-// batch, a binary frame: resolve the source, fold the columns through
-// its detector set's column kernels, publish. A traced or recorded unit
+// batch, a binary frame — and the single-writer hot path: no locks are
+// taken, since the set is goroutine-owned and the status mirror is
+// atomics. It resolves the source, folds the columns through its
+// detector set's column kernels and publishes. A traced or recorded unit
 // runs the same kernels, annotated (see transport.Annotator), so turning
 // observability on never switches the code under observation. Verdicts
 // are identical to feeding the pairs one at a time.
 func (sh *shard) handleCols(id string, free, swap []float64, seq uint64) {
 	r := sh.reg
 	n := len(free)
-	if n == 0 {
-		return
-	}
 	src := sh.resolve(id, n)
 	if src == nil {
 		return

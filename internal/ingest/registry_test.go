@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -160,6 +161,13 @@ func TestRegistryIngestValidation(t *testing.T) {
 	defer r.Close()
 	if err := r.Ingest(Sample{Free: 1, Swap: 2}); !errors.Is(err, ErrNoSource) {
 		t.Errorf("no source: %v", err)
+	}
+	// Ids the wire parsers and IngestColumns refuse are refused here too:
+	// every unit crosses the same validation.
+	for _, id := range []string{"a b", "a,b", "tab\tid", strings.Repeat("x", MaxSourceLen+1)} {
+		if err := r.Ingest(Sample{Source: id, Free: 1, Swap: 2}); !errors.Is(err, ErrBadLine) {
+			t.Errorf("source %q accepted: %v", id, err)
+		}
 	}
 	for _, bad := range [][2]float64{{math.NaN(), 0}, {0, math.Inf(1)}, {math.Inf(-1), 0}} {
 		if err := r.Ingest(Sample{Source: "s", Free: bad[0], Swap: bad[1]}); !errors.Is(err, ErrBadSample) {

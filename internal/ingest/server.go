@@ -77,8 +77,8 @@ type Server struct {
 	connMu sync.Mutex
 	conns  map[net.Conn]struct{}
 
-	router LineRouter // nil: lines go straight to the registry
-	mounts []mount    // extra HTTP handlers (the cluster endpoints)
+	router Router  // the registry itself unless SetRouter interposes one
+	mounts []mount // extra HTTP handlers (the cluster endpoints)
 
 	snap        *runtime.SnapshotManager
 	snapSources atomic.Int64
@@ -91,18 +91,13 @@ type Server struct {
 	stalledShards atomic.Int32  // shards holding queued work without progress
 }
 
-// LineRouter interposes on every transport wire line; the cluster node
-// implements it to route lines to their owning peer instead of the
-// local registry.
-type LineRouter interface {
+// Router takes every unit the transports read: text wire lines, and
+// binary-wire frames in decoded form (taking ownership of each batch —
+// route, forward or Release). The Registry is one; the cluster node is
+// the other, routing units to their owning peer instead of the local
+// registry.
+type Router interface {
 	IngestLine(defaultSource, line string) error
-}
-
-// ColumnRouter is the columnar extension of LineRouter: a router that
-// also implements it receives binary-wire batches in decoded form (and
-// takes ownership of them — route, forward or Release). Routers
-// without it get each frame re-rendered as a text batch line.
-type ColumnRouter interface {
 	IngestColumns(cb *transport.ColumnarBatch) error
 }
 
@@ -142,10 +137,11 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		return nil, err
 	}
 	s := &Server{
-		cfg:   cfg,
-		reg:   reg,
-		ev:    cfg.Registry.Events,
-		conns: make(map[net.Conn]struct{}),
+		cfg:    cfg,
+		reg:    reg,
+		router: reg,
+		ev:     cfg.Registry.Events,
+		conns:  make(map[net.Conn]struct{}),
 	}
 	s.snap = &runtime.SnapshotManager{
 		Path:  cfg.SnapshotPath,
@@ -187,24 +183,20 @@ func quarantineSnapshot(cfg ServerConfig, cause error) {
 // Registry exposes the underlying registry (statuses, alerts, states).
 func (s *Server) Registry() *Registry { return s.reg }
 
-// SetLineRouter interposes r on every transport wire line (TCP and POST
-// /ingest) — the cluster routing hook. Call before Start; nil restores
-// direct registry ingestion.
-func (s *Server) SetLineRouter(r LineRouter) { s.router = r }
+// SetRouter interposes r on every unit the transports read (TCP lines
+// and frames, POST /ingest) — the cluster routing hook. Call before
+// Start; nil restores direct registry ingestion.
+func (s *Server) SetRouter(r Router) {
+	if r == nil {
+		r = s.reg
+	}
+	s.router = r
+}
 
 // Mount registers an extra HTTP handler on the API mux (the cluster
 // endpoints ride the same listener). Call before Start or Handler.
 func (s *Server) Mount(pattern string, handler http.Handler) {
 	s.mounts = append(s.mounts, mount{pattern: pattern, handler: handler})
-}
-
-// ingestLine feeds one wire line through the router when one is set,
-// straight to the registry otherwise.
-func (s *Server) ingestLine(defaultSource, line string) error {
-	if s.router != nil {
-		return s.router.IngestLine(defaultSource, line)
-	}
-	return s.reg.IngestLine(defaultSource, line)
 }
 
 // Start binds the configured listeners and begins serving. It returns
@@ -391,7 +383,7 @@ func (s *Server) serveLines(conn net.Conn, br *bufio.Reader, defaultSource strin
 			}
 			return
 		}
-		err := s.ingestLine(defaultSource, sc.Text())
+		err := s.router.IngestLine(defaultSource, sc.Text())
 		switch {
 		case err == nil:
 		case errors.Is(err, ErrClosed):
@@ -474,7 +466,10 @@ func (s *Server) serveFrames(conn net.Conn, br *bufio.Reader, defaultSource stri
 			}
 			continue
 		}
-		switch err := s.ingestFrame(defaultSource, cb); {
+		if cb.Source == "" {
+			cb.Source = defaultSource
+		}
+		switch err := s.router.IngestColumns(cb); {
 		case err == nil:
 		case errors.Is(err, ErrClosed):
 			return
@@ -506,27 +501,6 @@ func (s *Server) connEvent(conn net.Conn, err error) {
 	s.ev.Info("ingest_conn_error", obs.Fields{
 		"peer": conn.RemoteAddr().String(), "error": err.Error(),
 	})
-}
-
-// ingestFrame feeds one decoded columnar batch through the column-aware
-// router when one is set, straight to the registry otherwise. A router
-// that only understands lines (LineRouter without ColumnRouter) gets
-// the batch re-rendered as a canonical text batch line — lossless, the
-// float64 round-trip the text wire guarantees. Ownership of cb passes
-// here: every path releases or forwards it.
-func (s *Server) ingestFrame(defaultSource string, cb *transport.ColumnarBatch) error {
-	if cb.Source == "" {
-		cb.Source = defaultSource
-	}
-	if s.router != nil {
-		if cr, ok := s.router.(ColumnRouter); ok {
-			return cr.IngestColumns(cb)
-		}
-		line := FormatBatch(Batch{Source: cb.Source, Pairs: cb.AppendPairs(nil)})
-		cb.Release()
-		return s.router.IngestLine(defaultSource, line)
-	}
-	return s.reg.IngestColumns(cb)
 }
 
 // hostOf extracts the host part of a peer address — the stable identity
@@ -656,7 +630,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		if trimLine(sc.Text()) == "" {
 			continue
 		}
-		switch err := s.ingestLine(defaultSource, sc.Text()); {
+		switch err := s.router.IngestLine(defaultSource, sc.Text()); {
 		case err == nil:
 			accepted++
 		case errors.Is(err, ErrClosed):

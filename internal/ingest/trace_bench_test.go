@@ -86,7 +86,7 @@ func traceOverheadRun(tb testing.TB, iters, size, sampleEvery, recorderDepth int
 	}
 	sw := startStopwatch()
 	for i := 0; i < iters; i++ {
-		if err := r.IngestBatch(Batch{Source: "bench-0000", Pairs: pairs}); err != nil {
+		if err := r.IngestColumns(columnBatch("bench-0000", pairs)); err != nil {
 			tb.Fatal(err)
 		}
 	}
@@ -130,7 +130,7 @@ func BenchmarkIngestTraceOverhead(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if err := r.IngestBatch(Batch{Source: "bench-0000", Pairs: pairs}); err != nil {
+				if err := r.IngestColumns(columnBatch("bench-0000", pairs)); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -258,7 +258,7 @@ func TestTraceOverheadRunsAreExact(t *testing.T) {
 	pairs := [][2]float64{{1e9, 0}, {1e9 - 1, 1}}
 	const iters = 100
 	for i := 0; i < iters; i++ {
-		if err := r.IngestBatch(Batch{Source: "bench-0000", Pairs: pairs}); err != nil {
+		if err := r.IngestColumns(columnBatch("bench-0000", pairs)); err != nil {
 			t.Fatal(err)
 		}
 	}
