@@ -36,14 +36,15 @@ bench:
 # budgets: proves the bench suite still builds and runs, that 1/1024
 # sampling stays within its documented throughput envelope, that a
 # depth-64 flight recorder costs binary ingestion at most 10%, that a
-# two-detector MonitorSet stays within 2.5x a single detector with no
-# steady-state allocations, and that decoding a binary frame stays at
-# least 25x cheaper per sample than parsing and transposing a batch;
-# text line, the only place the two wires still differ (CI runs this).
+# two-detector MonitorSet on a memsim trace in 256-sample column units
+# stays within 2.5x a single detector, and that decoding a binary frame
+# stays at least 25x cheaper per sample than parsing and transposing a
+# batch; text line, the only place the two wires still differ (CI runs
+# this).
 bench-smoke:
 	$(GO) test -run XXX -bench . -benchtime=1x . ./internal/ingest/ ./internal/source/ ./internal/detect/
 	AGINGMF_TRACE_BUDGET=1 $(GO) test -run 'TestTraceOverheadBudget|TestRecorderOverheadBudget' -count=1 -v ./internal/ingest/
-	AGINGMF_DETECT_BUDGET=1 $(GO) test -run TestMonitorSetOverheadBudget -count=1 -v ./internal/detect/
+	AGINGMF_DETECT_BUDGET=1 $(GO) test -run TestMonitorSetOverheadBudget -count=1 -v ./internal/ingest/
 	AGINGMF_BINARY_BUDGET=1 $(GO) test -run TestBinaryOverTextBudget -count=1 -v ./internal/ingest/
 
 # Fast pre-commit gate: vet plus the race detector on the packages with

@@ -90,26 +90,6 @@ func BenchmarkMonitorAddCUSUM(b *testing.B) { benchMonitorDetector(b, agingmf.De
 // BenchmarkMonitorAddPageHinkley is the Page–Hinkley ablation.
 func BenchmarkMonitorAddPageHinkley(b *testing.B) { benchMonitorDetector(b, agingmf.DetectPageHinkley) }
 
-// BenchmarkMonitorAddBounded measures the bounded-memory monitor — the
-// configuration a production agent would run indefinitely.
-func BenchmarkMonitorAddBounded(b *testing.B) {
-	cfg := agingmf.DefaultMonitorConfig()
-	cfg.HistoryLimit = 1024
-	mon, err := agingmf.NewMonitor(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	xs, err := agingmf.FBM(1<<16, 0.6, agingmf.NewRand(18))
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		mon.Add(xs[i%len(xs)])
-	}
-}
-
 // BenchmarkHiguchi benches the Higuchi dimension estimator (cross-check
 // of the Hurst family).
 func BenchmarkHiguchi(b *testing.B) {

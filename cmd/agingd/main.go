@@ -51,9 +51,14 @@
 // State survives restarts: -snapshot names a file the daemon writes
 // every -snapshot-every and on shutdown, and reads back at start — a
 // restarted daemon resumes every source's monitor exactly where it
-// stopped. SIGINT/SIGTERM drain gracefully: intake stops, queued samples
-// reach their monitors, and the final snapshot is written before exit.
-// A second signal force-exits a stuck drain.
+// stopped. A source's monitors keep only the stage states their next
+// sample needs, so its memory and its share of the snapshot stay the
+// same size however long it runs; -history-limit, which once bounded
+// their histories, is accepted with a warning and only recorded in the
+// snapshot's monitor configuration. SIGINT/SIGTERM drain gracefully:
+// intake stops, queued samples reach their monitors, and the final
+// snapshot is written before exit. A second signal force-exits a stuck
+// drain.
 //
 // Several daemons can share one fleet: -cluster-addr names this node
 // (the host:port peers reach its HTTP listener at) and -cluster-peers
@@ -87,7 +92,7 @@
 //	agingd [-listen HOST:PORT] [-http HOST:PORT] [-shards N] [-queue N]
 //	       [-snapshot FILE] [-snapshot-every DURATION]
 //	       [-stall-timeout DURATION] [-max-sources N] [-max-bad-lines N]
-//	       [-history-limit N] [-detectors LIST] [-alerts FILE] [-events FILE]
+//	       [-detectors LIST] [-alerts FILE] [-events FILE]
 //	       [-webhook URL] [-trace-sample 1/N] [-flight-recorder-depth N]
 //	       [-pprof] [-rejuv-policy SPEC]
 //	       [-cluster-addr HOST:PORT] [-cluster-peers HOST:PORT,...]
@@ -168,7 +173,7 @@ func newFlagSet(opt *options) *flag.FlagSet {
 	fs.IntVar(&opt.maxSources, "max-sources", 65536, "cap on tracked sources (negative = unlimited)")
 	fs.IntVar(&opt.maxBadLines, "max-bad-lines", 100, "per-connection malformed-line budget before the connection is closed (negative = unlimited)")
 	fs.DurationVar(&opt.idleTimeout, "idle-timeout", 0, "close a TCP connection idle this long (0 disables)")
-	fs.IntVar(&opt.historyLimit, "history-limit", 4096, "per-source monitor history bound (0 = unlimited; the registry holds one monitor per source)")
+	fs.IntVar(&opt.historyLimit, "history-limit", 4096, "deprecated: monitors keep no history and ignore it; the value is only recorded in each monitor's snapshot configuration (accepted until the next release)")
 	fs.StringVar(&opt.detectors, "detectors", "holder", `comma-separated detector suite run per source: "holder" (Hölder volatility), "entropy" (multiscale sample entropy), "adaptive" (workload-shift-aware holder)`)
 	fs.StringVar(&opt.alerts, "alerts", "", `append alert JSONL to this file ("-" = stdout, empty disables)`)
 	fs.StringVar(&opt.events, "events", "", `append lifecycle JSONL events to this file ("-" = stdout, empty disables)`)
@@ -205,9 +210,15 @@ func main() {
 
 func run(args []string, stdout io.Writer) error {
 	var opt options
-	if err := newFlagSet(&opt).Parse(args); err != nil {
+	fs := newFlagSet(&opt)
+	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	fs.Visit(func(f *flag.Flag) {
+		if f.Name == "history-limit" {
+			fmt.Fprintln(stdout, "agingd: warning: -history-limit is deprecated and ignored: monitors keep no history")
+		}
+	})
 
 	// The cluster self-test is fully in-process (MemTransport, shared
 	// MemStore): no listeners, no event sinks — run it and exit.
@@ -236,6 +247,9 @@ func run(args []string, stdout io.Writer) error {
 		return fmt.Errorf("-detectors: %w", err)
 	}
 
+	// The deprecated value changes no verdict, but snapshots embed the
+	// monitor configuration, so it keeps a snapshot byte-identical to one
+	// from a monitor built with the same flags.
 	monCfg := agingmf.DefaultMonitorConfig()
 	monCfg.HistoryLimit = opt.historyLimit
 	met := agingmf.NewRegistry()

@@ -168,6 +168,10 @@ func TestInterruptRestartResumes(t *testing.T) {
 		tcp := waitPrefix(t, &buf, "ingest: tcp://")
 		api := waitPrefix(t, &buf, "api: http://")
 		api = strings.TrimSuffix(api, "/api/sources")
+		// -history-limit is deprecated: accepted, ignored, warned once.
+		if n := strings.Count(buf.String(), "-history-limit is deprecated and ignored"); n != 1 {
+			t.Errorf("-history-limit warning printed %d times, want once", n)
+		}
 		return &buf, errc, tcp, api
 	}
 	feed := func(tcp string, from, to int) {

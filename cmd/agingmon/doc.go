@@ -26,7 +26,11 @@
 // counted (fatal only past -max-bad-samples), SIGINT/SIGTERM drain
 // gracefully and save -state before exiting (a second signal force-exits
 // a stuck drain), and -stall-timeout arms a watchdog that flips /healthz
-// to 503 "stalled" when the sample stream dries up.
+// to 503 "stalled" when the sample stream dries up. The monitor keeps
+// only the stage states its next sample needs, so a run of any length
+// holds constant memory and -state writes a small, constant-size file;
+// -history-limit, which once bounded its histories, is accepted with a
+// warning and only recorded in the -state file's monitor configuration.
 //
 // The monitor pipeline is itself observable: -metrics-addr serves a
 // Prometheus /metrics endpoint (plus /healthz and, with -pprof,
@@ -43,7 +47,7 @@
 // Usage:
 //
 //	agingmon [-seed N] [-ram-mib N] [-swap-mib N] [-leak PAGES]
-//	         [-max-ticks N] [-history-limit N] [-sim | -stdin]
+//	         [-max-ticks N] [-sim | -stdin]
 //	         [-state FILE] [-metrics-addr HOST:PORT] [-pprof]
 //	         [-events FILE] [-tick-every DURATION]
 //	         [-max-bad-samples N] [-stall-timeout DURATION]

@@ -37,7 +37,7 @@ func newFlagSet(opt *options) *flag.FlagSet {
 	fs.IntVar(&opt.swapMiB, "swap-mib", 24, "swap space in MiB")
 	fs.Float64Var(&opt.leak, "leak", 3.5, "server leak rate in pages/tick")
 	fs.IntVar(&opt.maxTicks, "max-ticks", 60000, "simulation horizon in ticks")
-	fs.IntVar(&opt.limit, "history-limit", 4096, "monitor history bound (0 = unlimited)")
+	fs.IntVar(&opt.limit, "history-limit", 4096, "deprecated: the monitor keeps no history and ignores it; the value is only recorded in the -state file's configuration (accepted until the next release)")
 	fs.BoolVar(&opt.sim, "sim", true, "monitor the built-in simulated machine (the default; -stdin overrides)")
 	fs.BoolVar(&opt.stdin, "stdin", false, `read "free_bytes,swap_bytes" samples from stdin instead of simulating`)
 	fs.StringVar(&opt.state, "state", "", "restore monitor state from this file at start, save on exit")

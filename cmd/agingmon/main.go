@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"flag"
 	"fmt"
 	"io"
 	"net/http"
@@ -27,9 +28,15 @@ func main() {
 
 func run(args []string, stdin io.Reader, stdout io.Writer) error {
 	var opt options
-	if err := newFlagSet(&opt).Parse(args); err != nil {
+	fs := newFlagSet(&opt)
+	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	fs.Visit(func(f *flag.Flag) {
+		if f.Name == "history-limit" {
+			fmt.Fprintln(stdout, "agingmon: warning: -history-limit is deprecated and ignored: the monitor keeps no history")
+		}
+	})
 	_ = opt.sim // sim is the default mode; the flag exists to state it explicitly
 
 	tel, err := runtime.NewTelemetry(opt.metricsAddr, opt.pprof, opt.events)

@@ -36,6 +36,29 @@ func TestRunShortHorizonNoCrash(t *testing.T) {
 	}
 }
 
+// TestRunHistoryLimitIsIgnored: the deprecated -history-limit still
+// parses, warns once when set, and changes nothing about the run.
+func TestRunHistoryLimitIsIgnored(t *testing.T) {
+	const warning = "-history-limit is deprecated and ignored"
+	var plain, limited bytes.Buffer
+	if err := run([]string{"-max-ticks", "3000"}, nil, &plain); err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	if err := run([]string{"-max-ticks", "3000", "-history-limit", "128"}, nil, &limited); err != nil {
+		t.Fatalf("run -history-limit: %v", err)
+	}
+	if strings.Contains(plain.String(), warning) {
+		t.Errorf("warning printed without the flag:\n%s", plain.String())
+	}
+	if n := strings.Count(limited.String(), warning); n != 1 {
+		t.Fatalf("warning printed %d times with the flag, want once:\n%s", n, limited.String())
+	}
+	rest := strings.SplitN(limited.String(), "\n", 2)[1]
+	if rest != plain.String() {
+		t.Errorf("-history-limit changed the run:\n%s\nvs\n%s", rest, plain.String())
+	}
+}
+
 func TestRunBadFlags(t *testing.T) {
 	var buf bytes.Buffer
 	if err := run([]string{"-bogus"}, nil, &buf); err == nil {

@@ -16,6 +16,10 @@ import (
 // save at exit reports any real persistence problem). A snapshot that
 // reads but does not decode is quarantined to <path>.corrupt rather than
 // wedging the monitor in a crash loop, and the run starts fresh.
+//
+// limit is the deprecated -history-limit: it changes no verdict, but the
+// state file embeds the monitor configuration, so it keeps the file
+// byte-identical to one from a monitor built with the same flags.
 func loadOrNewMonitor(sm *runtime.SnapshotManager, limit int, stdout io.Writer) (*agingmf.DualMonitor, error) {
 	if blob, err := sm.Restore(); err == nil && blob != nil {
 		mon, err := agingmf.RestoreDualMonitor(blob)

@@ -153,12 +153,6 @@ func TestFacadeEWMAWelchDiurnalFleet(t *testing.T) {
 	if len(runs) != 2 {
 		t.Errorf("fleet runs = %d", len(runs))
 	}
-	// Bounded monitor through the facade.
-	bcfg := agingmf.DefaultMonitorConfig()
-	bcfg.HistoryLimit = 256
-	if _, err := agingmf.NewMonitor(bcfg); err != nil {
-		t.Fatalf("bounded monitor: %v", err)
-	}
 }
 
 func TestFacadeSaveRestore(t *testing.T) {

@@ -6,15 +6,13 @@ import (
 )
 
 // TestMonitorAddSteadyStateAllocs locks in the hot-path guarantee the
-// fleet daemon relies on: once the pipeline is warm and bounded-history
-// trims have settled the slice capacities, Monitor.Add performs zero
-// heap allocations per sample. (Jumps allocate — they append to the jump
+// fleet daemon relies on: once the pipeline is warm, Monitor.Add
+// performs zero heap allocations per sample. (Jumps allocate — they append to the jump
 // history — so the probe signal is stationary and the control limit is
 // set high enough that no alarm fires during measurement.)
 func TestMonitorAddSteadyStateAllocs(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.ShewhartK = 100 // never fires on a stationary stream
-	cfg.HistoryLimit = 512
 	mon, err := NewMonitor(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -30,8 +28,8 @@ func TestMonitorAddSteadyStateAllocs(t *testing.T) {
 		i++
 		return x
 	}
-	// Warm past the estimator/volatility/detector warmups and through
-	// several trim cycles so every slice has reached its steady capacity.
+	// Warm past the estimator/volatility/detector warmups so every stage
+	// has reached its steady capacity.
 	for j := 0; j < 6*len(xs); j++ {
 		mon.Add(next())
 	}

@@ -1,12 +1,20 @@
 package aging
 
 import (
+	"bytes"
 	"testing"
 )
 
+// A monitor keeps only the stage states the next sample needs, so its
+// memory and its snapshots do not grow with the samples it has seen. The
+// deprecated HistoryLimit field is accepted and changes nothing.
+
+// TestBoundedMonitorMatchesUnboundedExactly: a config carrying a legacy
+// HistoryLimit detects exactly what the default config detects, and the
+// two monitors hold the same state.
 func TestBoundedMonitorMatchesUnboundedExactly(t *testing.T) {
 	xs := regimeChangeSignal(t, 20000, 77)
-	unbounded, err := NewMonitor(DefaultConfig())
+	plain, err := NewMonitor(DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -17,62 +25,70 @@ func TestBoundedMonitorMatchesUnboundedExactly(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, v := range xs {
-		ju, fu := unbounded.Add(v)
+		ju, fu := plain.Add(v)
 		jb, fb := bounded.Add(v)
-		if fu != fb {
-			t.Fatalf("alarm divergence at sample %d: unbounded=%v bounded=%v", unbounded.SamplesSeen(), fu, fb)
-		}
-		if fu && (ju.SampleIndex != jb.SampleIndex || ju.Volatility != jb.Volatility) {
-			t.Fatalf("jump payload divergence: %+v vs %+v", ju, jb)
+		if fu != fb || ju != jb {
+			t.Fatalf("divergence at sample %d: (%+v,%v) vs (%+v,%v)", plain.SamplesSeen(), ju, fu, jb, fb)
 		}
 	}
-	if unbounded.Phase() != bounded.Phase() {
-		t.Fatalf("phase divergence: %v vs %v", unbounded.Phase(), bounded.Phase())
+	if len(plain.Jumps()) == 0 {
+		t.Fatal("signal produced no jumps; comparison is vacuous")
 	}
-	if len(unbounded.Jumps()) != len(bounded.Jumps()) {
-		t.Fatalf("jump count divergence: %d vs %d", len(unbounded.Jumps()), len(bounded.Jumps()))
+	bounded.cfg.HistoryLimit = 0 // the only field that may differ
+	if !bytes.Equal(saveBytes(t, plain), saveBytes(t, bounded)) {
+		t.Fatal("HistoryLimit changed the monitor's state")
 	}
 }
 
+// TestBoundedMonitorMemoryStaysBounded is the O(1)-state assertion: the
+// snapshot after 30,000 samples is as long as the one after 3,000 but
+// for the jumps fired in between, it carries no raw or volatility
+// history and exactly one volatility window of Hölder values, and the
+// estimator's pending oscillations stay within the radius bound.
 func TestBoundedMonitorMemoryStaysBounded(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.HistoryLimit = 300
 	mon, err := NewMonitor(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	xs := regimeChangeSignal(t, 30000, 78)
-	for _, v := range xs {
-		mon.Add(v)
+	mon.AddColumns(xs[:3000])
+	early := len(saveBytes(t, mon))
+	jumps0 := len(mon.Jumps())
+	mon.AddColumns(xs[3000:])
+	blob := saveBytes(t, mon)
+	var st monitorState
+	if err := gobDecode(blob, &st); err != nil {
+		t.Fatal(err)
 	}
-	// Retained histories must be within a small constant factor of the
-	// limit (the trim uses 2x hysteresis to amortize the copies).
-	rawCap := 2 * max(cfg.HistoryLimit, 2*cfg.MaxRadius+1)
-	if len(mon.raw) > rawCap {
-		t.Errorf("raw retained %d > %d", len(mon.raw), rawCap)
+	if len(st.Raw) != 0 || len(st.Vols) != 0 {
+		t.Errorf("snapshot carries history: raw %d, vols %d", len(st.Raw), len(st.Vols))
 	}
-	alphaCap := 2 * max(cfg.HistoryLimit, cfg.VolatilityWindow+1)
-	if len(mon.alphas) > alphaCap {
-		t.Errorf("alphas retained %d > %d", len(mon.alphas), alphaCap)
+	if len(st.Alphas) != cfg.VolatilityWindow {
+		t.Errorf("snapshot alphas %d, want one window of %d", len(st.Alphas), cfg.VolatilityWindow)
 	}
-	if len(mon.vols) > 2*cfg.HistoryLimit {
-		t.Errorf("vols retained %d > %d", len(mon.vols), 2*cfg.HistoryLimit)
+	// A jump costs a few dozen bytes; the counters grow by a varint byte.
+	const perJump, slack = 48, 16
+	if grew, allowed := len(blob)-early, perJump*(len(mon.Jumps())-jumps0)+slack; grew > allowed {
+		t.Errorf("snapshot grew %d B from 3,000 to 30,000 samples (allowed %d for %d jumps)",
+			grew, allowed, len(mon.Jumps())-jumps0)
 	}
 	for _, ts := range mon.est.State().Trackers {
 		if len(ts.Osc) > 2*cfg.MaxRadius+2 {
 			t.Errorf("tracker r=%d retained %d oscillations", ts.R, len(ts.Osc))
 		}
 	}
-	// Counters keep the global view.
 	if mon.SamplesSeen() != len(xs) {
 		t.Errorf("SamplesSeen = %d, want %d", mon.SamplesSeen(), len(xs))
 	}
 }
 
+// TestBoundedMonitorValidation: HistoryLimit is deprecated and ignored,
+// so even a negative value is accepted.
 func TestBoundedMonitorValidation(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.HistoryLimit = -1
-	if _, err := NewMonitor(cfg); err == nil {
-		t.Error("negative history limit should fail")
+	if _, err := NewMonitor(cfg); err != nil {
+		t.Errorf("a deprecated HistoryLimit must be ignored, got %v", err)
 	}
 }

@@ -52,49 +52,46 @@ func addColumnsChunked(m *Monitor, xs []float64, chunk int) []Jump {
 
 // TestAddColumnsParity is the core tentpole invariant: AddColumns must
 // leave the monitor byte-for-byte identical to per-sample Add — same
-// SaveState blob, same jumps, same phase — for every chunking, history
-// bound and detector family (Shewhart self-calibrates, CUSUM exercises
-// the standardizer recalibration path).
+// SaveState blob, same jumps, same phase — for every chunking and
+// detector family (Shewhart self-calibrates, CUSUM exercises the
+// standardizer recalibration path).
 func TestAddColumnsParity(t *testing.T) {
 	xs := volatileTrace(3, 1200)
 	for _, det := range []DetectorKind{DetectShewhart, DetectCUSUM} {
-		for _, limit := range []int{0, 16, 64} {
-			cfg := columnarTestConfig()
-			cfg.Detector = det
-			cfg.HistoryLimit = limit
-			ref, err := NewMonitor(cfg)
+		cfg := columnarTestConfig()
+		cfg.Detector = det
+		ref, err := NewMonitor(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want []Jump
+		for _, x := range xs {
+			if j, ok := ref.Add(x); ok {
+				want = append(want, j)
+			}
+		}
+		if len(want) == 0 {
+			t.Fatalf("det=%v: reference fired no jumps; trace too tame", det)
+		}
+		refState, err := ref.SaveState()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, chunk := range []int{1, 7, 64, 256, len(xs)} {
+			m, err := NewMonitor(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			var want []Jump
-			for _, x := range xs {
-				if j, ok := ref.Add(x); ok {
-					want = append(want, j)
-				}
+			got := addColumnsChunked(m, xs, chunk)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("det=%v chunk=%d: jumps %v, want %v", det, chunk, got, want)
 			}
-			if len(want) == 0 {
-				t.Fatalf("det=%v limit=%d: reference fired no jumps; trace too tame", det, limit)
-			}
-			refState, err := ref.SaveState()
+			gotState, err := m.SaveState()
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, chunk := range []int{1, 7, 64, 256, len(xs)} {
-				m, err := NewMonitor(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got := addColumnsChunked(m, xs, chunk)
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("det=%v limit=%d chunk=%d: jumps %v, want %v", det, limit, chunk, got, want)
-				}
-				gotState, err := m.SaveState()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(gotState, refState) {
-					t.Fatalf("det=%v limit=%d chunk=%d: SaveState diverged from per-sample Add", det, limit, chunk)
-				}
+			if !bytes.Equal(gotState, refState) {
+				t.Fatalf("det=%v chunk=%d: SaveState diverged from per-sample Add", det, chunk)
 			}
 		}
 	}
@@ -104,7 +101,6 @@ func TestAddColumnsParity(t *testing.T) {
 // monitor and requires the same final state as pure per-sample feeding.
 func TestAddColumnsInterleaved(t *testing.T) {
 	cfg := columnarTestConfig()
-	cfg.HistoryLimit = 32
 	xs := volatileTrace(11, 1000)
 	ref, err := NewMonitor(cfg)
 	if err != nil {

@@ -21,7 +21,6 @@ const (
 	metricVolatility = "agingmf_monitor_volatility"
 	metricPhase      = "agingmf_monitor_phase"
 	metricJumps      = "agingmf_monitor_jumps_total"
-	metricTrims      = "agingmf_monitor_history_trims_total"
 )
 
 // addLatencyBuckets spans the expected Monitor.Add cost (~0.5 µs
@@ -37,7 +36,6 @@ type monitorMetrics struct {
 	volatility *obs.Gauge
 	phase      *obs.Gauge
 	jumps      *obs.Counter
-	trims      *obs.Counter
 }
 
 // Instrument attaches the monitor to a telemetry registry, registering
@@ -72,9 +70,6 @@ func (m *Monitor) instrument(reg *obs.Registry, counterLabel string) {
 		jumps: reg.CounterVec(metricJumps,
 			"Detected Hölder-volatility jumps.",
 			"counter", "detector").With(counterLabel, det),
-		trims: reg.CounterVec(metricTrims,
-			"History-bound trims performed in bounded-memory mode.",
-			"counter").With(counterLabel),
 	}
 	// Counters count from instrumentation time (the usual process-restart
 	// semantics); gauges reflect current state immediately.
@@ -86,8 +81,8 @@ func (m *Monitor) instrument(reg *obs.Registry, counterLabel string) {
 func (m *Monitor) observeAdd(start time.Time, fired bool) {
 	m.met.addSeconds.Observe(time.Since(start).Seconds())
 	m.met.samples.Inc()
-	if m.volsSeen > 0 {
-		m.met.volatility.Set(m.vols[len(m.vols)-1])
+	if vol, ok := m.vol.Value(); ok {
+		m.met.volatility.Set(vol)
 	}
 	if fired {
 		m.met.jumps.Inc()
@@ -102,8 +97,8 @@ func (m *Monitor) observeAdd(start time.Time, fired bool) {
 func (m *Monitor) observeColumns(start time.Time, n, fired int) {
 	m.met.addSeconds.Observe(time.Since(start).Seconds())
 	m.met.samples.Add(uint64(n))
-	if m.volsSeen > 0 {
-		m.met.volatility.Set(m.vols[len(m.vols)-1])
+	if vol, ok := m.vol.Value(); ok {
+		m.met.volatility.Set(vol)
 	}
 	if fired > 0 {
 		m.met.jumps.Add(uint64(fired))

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"agingmf/internal/obs"
+	"agingmf/internal/series"
 )
 
 // jumpySignal is a calm then violently oscillating stream that reliably
@@ -27,7 +28,6 @@ func jumpySignal(n int) []float64 {
 func TestMonitorInstrumented(t *testing.T) {
 	reg := obs.NewRegistry()
 	cfg := DefaultConfig()
-	cfg.HistoryLimit = 512
 	mon, err := NewMonitor(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -61,13 +61,27 @@ func TestMonitorInstrumented(t *testing.T) {
 		t.Errorf("phase gauge = %v, want %v", got, float64(mon.Phase()))
 	}
 	vol := reg.GaugeVec(metricVolatility, "Latest moving-window volatility of the Hölder trajectory.", "counter").With("raw")
-	vols := mon.VolatilityValues()
+	res, err := Analyze(series.FromValues("jumpy", xs), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vols := res.Volatility.Values
 	if got, want := vol.Value(), vols[len(vols)-1]; got != want {
 		t.Errorf("volatility gauge = %v, want latest %v", got, want)
 	}
-	trims := reg.CounterVec(metricTrims, "History-bound trims performed in bounded-memory mode.", "counter").With("raw")
-	if trims.Value() == 0 {
-		t.Error("bounded monitor never recorded a history trim")
+
+	// A restored monitor holds no volatility history: its gauge reads the
+	// window recomputed from the restored moments, the same value.
+	restored, err := RestoreMonitor(saveBytes(t, mon))
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg2 := obs.NewRegistry()
+	restored.Instrument(reg2)
+	restored.AddColumns(nil)
+	vol2 := reg2.GaugeVec(metricVolatility, "Latest moving-window volatility of the Hölder trajectory.", "counter").With("raw")
+	if got, want := vol2.Value(), vols[len(vols)-1]; got != want {
+		t.Errorf("restored volatility gauge = %v, want %v", got, want)
 	}
 }
 

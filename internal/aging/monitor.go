@@ -8,11 +8,13 @@
 // the onset of aging and a subsequent jump signals that failure is
 // imminent.
 //
-// Since PR 4 the Monitor is a thin composition of the streaming stages in
+// The Monitor is a thin composition of the streaming stages in
 // internal/stream (OscillationEstimator → VolatilityWindow →
 // Standardizer → GatedDetector); this package adds configuration,
-// phase/jump bookkeeping, history retention, persistence and telemetry
-// around that kernel.
+// phase/jump bookkeeping, persistence and telemetry around that kernel.
+// A monitor holds only the stage states the next sample needs, so its
+// memory and its snapshots stay the same size however long it runs;
+// offline Analyze collects the full trajectories.
 //
 // The package also provides the prior-work baselines the method is
 // compared against in experiment E8: parametric trend extrapolation of
@@ -130,11 +132,11 @@ type Config struct {
 	// samples after each alarm, so one physical change is not double
 	// counted.
 	Refractory int
-	// HistoryLimit, when positive, bounds the monitor's memory: only the
-	// most recent HistoryLimit entries of the raw/Hölder/volatility
-	// histories are retained (never less than the pipeline itself needs).
-	// Detection behaviour is unchanged; only the replayable history
-	// shrinks. Zero keeps everything (offline analysis).
+	// HistoryLimit once bounded the raw, Hölder and volatility histories
+	// a monitor kept. Monitors now keep no histories, so it has no
+	// effect; it stays because snapshots embed the configuration.
+	//
+	// Deprecated: ignored.
 	HistoryLimit int
 }
 
@@ -175,8 +177,6 @@ func (c Config) validate() error {
 		return fmt.Errorf("detector warmup %d: %w", c.DetectorWarmup, ErrBadConfig)
 	case c.Refractory < 0:
 		return fmt.Errorf("refractory %d: %w", c.Refractory, ErrBadConfig)
-	case c.HistoryLimit < 0:
-		return fmt.Errorf("history limit %d: %w", c.HistoryLimit, ErrBadConfig)
 	}
 	switch c.Detector {
 	case DetectShewhart:
@@ -249,8 +249,8 @@ type Jump struct {
 }
 
 // Monitor is the online aging detector. Feed it one counter sample at a
-// time with Add (or a column at a time with AddColumns); inspect Phase,
-// Jumps and the derived series at any time. Not safe for concurrent use.
+// time with Add (or a column at a time with AddColumns); inspect Phase
+// and Jumps at any time. Not safe for concurrent use.
 //
 // Monitor composes the internal/stream pipeline stages:
 //
@@ -263,17 +263,19 @@ type Monitor struct {
 	std  *stream.Standardizer
 	gate *stream.GatedDetector
 
-	seen       int       // total samples consumed (indices are absolute)
-	alphasSeen int       // total Hölder estimates produced
-	volsSeen   int       // total volatility values produced
-	raw        []float64 // counter samples (tail only in bounded mode)
-	alphas     []float64 // Hölder trajectory (lagging MaxRadius behind raw)
-	vols       []float64 // moving std of alphas
-	lastStat   float64   // latest detector-input statistic (not persisted)
+	seen       int     // total samples consumed (indices are absolute)
+	alphasSeen int     // total Hölder estimates produced
+	volsSeen   int     // total volatility values produced
+	lastStat   float64 // latest detector-input statistic (not persisted)
 
 	jumps []Jump
 
 	colAlphas []float64 // AddColumns scratch: the batch's emitted alphas
+
+	// traj is Analyze's sink for the Hölder trajectory: each AddColumns
+	// batch appends its alphas once. Online monitors leave it nil and so
+	// keep no history.
+	traj *[]float64
 
 	met *monitorMetrics // telemetry; nil (zero overhead) unless Instrument-ed
 }
@@ -331,9 +333,9 @@ func (m *Monitor) Add(x float64) (Jump, bool) { return m.AddTraced(x, nil) }
 // batch-first kernel: the estimator runs rung-major over the column
 // (stream.OscillationEstimator.PushColumns) and the volatility →
 // standardizer → detector chain then consumes the emitted alphas in one
-// tight loop. Monitor state after AddColumns(xs) — histories, stage
-// states, jumps and SaveState bytes — is identical to len(xs) calls of
-// Add; the columnar parity tests assert it. The restructuring is what
+// tight loop. Monitor state after AddColumns(xs) — stage states, jumps
+// and SaveState bytes — is identical to len(xs) calls of Add; the
+// columnar parity tests assert it. The restructuring is what
 // makes the binary wire path fast: one call per frame instead of one
 // call chain per sample.
 func (m *Monitor) AddColumns(xs []float64) []Jump {
@@ -352,41 +354,9 @@ func (m *Monitor) pushColumns(xs []float64, ann *Annotation, col int) []Jump {
 	return fired
 }
 
-// appendTrimmed appends xs to history h under the per-element trim rule
-// — after each append, when len exceeds 2*keep, cut to the last keep —
-// computed in closed form: the trim points are a pure function of the
-// starting length, so the surviving tail and the trim count can be
-// produced directly instead of replaying n bounds checks and the
-// intermediate copy-downs. The resulting slice contents and trim count
-// are exactly those of the element-by-element loop (asserted by the
-// columnar parity tests, which diff full persisted states).
-func appendTrimmed(h, xs []float64, keep, trims int) ([]float64, int) {
-	n := len(xs)
-	l0 := len(h)
-	if l0+n <= 2*keep {
-		return append(h, xs...), trims
-	}
-	// First trim fires on append number a1; later ones every keep+1.
-	a1 := 2*keep + 1 - l0
-	if a1 < 1 {
-		a1 = 1
-	}
-	r := n - a1
-	trims += 1 + r/(keep+1)
-	f := keep + r%(keep+1) // final length
-	if f <= n {
-		return append(h[:0], xs[n-f:]...), trims
-	}
-	h = append(h[:0], h[l0-(f-n):l0]...)
-	return append(h, xs...), trims
-}
-
 // addColumns is the un-instrumented AddColumns kernel. Stage-at-a-time
 // processing is state-equivalent to the per-sample pipeline because the
-// stages only communicate through their emitted values, and each
-// history's trim decision depends only on that history's own length —
-// so checking the bound after every append of a history reproduces
-// addSampleT's per-sample trimHistory exactly.
+// stages only communicate through their emitted values.
 //
 // A non-nil ann observes the batch without touching detection state:
 // column col of ann.Stats receives LastStat as it stood after each of
@@ -409,18 +379,8 @@ func (m *Monitor) addColumns(xs []float64, ann *Annotation, col int) []Jump {
 	// slots already written, carry is LastStat as of the slots not yet
 	// written.
 	tail0, filled, carry := len(xs)-len(stats), 0, m.lastStat
-	limit := m.cfg.HistoryLimit
-	trims := 0
-	// Raw history column.
-	if limit == 0 {
-		m.raw = append(m.raw, xs...)
-	} else {
-		m.raw, trims = appendTrimmed(m.raw, xs, max(limit, 2*m.cfg.MaxRadius+1), trims)
-	}
 	m.seen += len(xs)
-	// Hölder estimates for the whole column. The scratch keeps the
-	// batch's alphas alive independently of m.alphas, whose tail may be
-	// trimmed below before the chain has consumed them.
+	// Hölder estimates for the whole column.
 	if tm != nil {
 		t0 = time.Now()
 	}
@@ -428,12 +388,10 @@ func (m *Monitor) addColumns(xs []float64, ann *Annotation, col int) []Jump {
 	if tm != nil {
 		tm.Est += time.Since(t0).Nanoseconds()
 	}
-	var fired []Jump
-	if limit == 0 {
-		m.alphas = append(m.alphas, m.colAlphas...)
-	} else {
-		m.alphas, trims = appendTrimmed(m.alphas, m.colAlphas, max(limit, m.cfg.VolatilityWindow+1), trims)
+	if m.traj != nil {
+		*m.traj = append(*m.traj, m.colAlphas...)
 	}
+	var fired []Jump
 	alphasBase := m.alphasSeen // count before this batch, for jump indexing
 	m.alphasSeen += len(m.colAlphas)
 	// The sample that emitted alpha number a (zero-based) was raw sample
@@ -453,12 +411,7 @@ func (m *Monitor) addColumns(xs []float64, ann *Annotation, col int) []Jump {
 		if !ok {
 			continue
 		}
-		m.vols = append(m.vols, vol)
 		m.volsSeen++
-		if limit > 0 && len(m.vols) > 2*limit {
-			m.vols = append(m.vols[:0], m.vols[len(m.vols)-limit:]...)
-			trims++
-		}
 		if tm != nil {
 			t0 = time.Now()
 		}
@@ -499,9 +452,6 @@ func (m *Monitor) addColumns(xs []float64, ann *Annotation, col int) []Jump {
 	}
 	for ; filled < len(stats); filled++ {
 		stats[filled][col] = carry
-	}
-	if trims > 0 && m.met != nil {
-		m.met.trims.Add(uint64(trims))
 	}
 	return fired
 }
@@ -554,14 +504,12 @@ func (m *Monitor) AddTraced(x float64, tm *StageNanos) (Jump, bool) {
 // recorder and is deliberately not part of SaveState snapshots.
 func (m *Monitor) LastStat() float64 { return m.lastStat }
 
-// addSampleT pushes the sample through the stream stages in order,
-// records emitted values in the retained histories, and turns a detector
-// alarm into a Jump. A non-nil tm times each stage push; the nil form is
-// branch-only and is what every hot path compiles down to.
+// addSampleT pushes the sample through the stream stages in order and
+// turns a detector alarm into a Jump. A non-nil tm times each stage
+// push; the nil form is branch-only and is what every hot path compiles
+// down to.
 func (m *Monitor) addSampleT(x float64, tm *StageNanos) (Jump, bool) {
-	m.raw = append(m.raw, x)
 	m.seen++
-	defer m.trimHistory()
 	var t0 time.Time
 	if tm != nil {
 		t0 = time.Now()
@@ -573,7 +521,6 @@ func (m *Monitor) addSampleT(x float64, tm *StageNanos) (Jump, bool) {
 	if !ok {
 		return Jump{}, false
 	}
-	m.alphas = append(m.alphas, alpha)
 	m.alphasSeen++
 	if tm != nil {
 		t0 = time.Now()
@@ -585,7 +532,6 @@ func (m *Monitor) addSampleT(x float64, tm *StageNanos) (Jump, bool) {
 	if !ok {
 		return Jump{}, false
 	}
-	m.vols = append(m.vols, vol)
 	m.volsSeen++
 	if tm != nil {
 		t0 = time.Now()
@@ -626,8 +572,8 @@ func (m *Monitor) addSampleT(x float64, tm *StageNanos) (Jump, bool) {
 // calibration. Callers invoke it after an external regime-change signal
 // (e.g. a confirmed workload shift) so the monitor adapts to the new
 // normal instead of alarming forever against a stale baseline. Detection
-// state is otherwise untouched — histories, counters and past jumps are
-// preserved, and persisted snapshots round-trip the recalibrated state.
+// state is otherwise untouched — counters and past jumps are preserved,
+// and persisted snapshots round-trip the recalibrated state.
 func (m *Monitor) RecalibrateBaseline() {
 	m.std.Recalibrate()
 	m.gate.Detector().Reset()
@@ -650,47 +596,6 @@ func (m *Monitor) Jumps() []Jump {
 	return append([]Jump(nil), m.jumps...)
 }
 
-// HolderValues returns the Hölder trajectory computed so far (copy). In
-// bounded mode (HistoryLimit > 0) only the retained tail is returned.
-func (m *Monitor) HolderValues() []float64 {
-	return append([]float64(nil), m.alphas...)
-}
-
-// VolatilityValues returns the moving-std series computed so far (copy).
-// In bounded mode (HistoryLimit > 0) only the retained tail is returned.
-func (m *Monitor) VolatilityValues() []float64 {
-	return append([]float64(nil), m.vols...)
-}
-
-// trimHistory enforces the configured memory bound after each sample.
-// Internal floors guarantee enough history remains to rebuild the stage
-// states on restore: the volatility ring spans VolatilityWindow alphas,
-// and the estimator keeps its own pending-oscillation bound. The
-// copy-down trims reuse slice capacity, so bounded-mode steady state
-// allocates nothing.
-func (m *Monitor) trimHistory() {
-	limit := m.cfg.HistoryLimit
-	if limit == 0 {
-		return
-	}
-	trimmed := false
-	if keep := max(limit, 2*m.cfg.MaxRadius+1); len(m.raw) > 2*keep {
-		m.raw = append(m.raw[:0], m.raw[len(m.raw)-keep:]...)
-		trimmed = true
-	}
-	if keep := max(limit, m.cfg.VolatilityWindow+1); len(m.alphas) > 2*keep {
-		m.alphas = append(m.alphas[:0], m.alphas[len(m.alphas)-keep:]...)
-		trimmed = true
-	}
-	if len(m.vols) > 2*limit {
-		m.vols = append(m.vols[:0], m.vols[len(m.vols)-limit:]...)
-		trimmed = true
-	}
-	if trimmed && m.met != nil {
-		m.met.trims.Inc()
-	}
-}
-
 // AnalysisResult is the offline batch analysis of a complete trace.
 type AnalysisResult struct {
 	// Holder is the pointwise Hölder trajectory.
@@ -706,7 +611,9 @@ type AnalysisResult struct {
 // Analyze runs the monitor over a complete counter series and returns the
 // derived series with timing metadata aligned to the input. It is the
 // offline entry point of the same streaming kernel Add uses online, so
-// the two agree exactly by construction.
+// the two agree exactly by construction: the monitor's trajectory sink
+// collects the Hölder estimates, and a volatility window of the
+// monitor's width over them reproduces the volatility stage's values.
 func Analyze(s series.Series, cfg Config) (AnalysisResult, error) {
 	mon, err := NewMonitor(cfg)
 	if err != nil {
@@ -715,7 +622,19 @@ func Analyze(s series.Series, cfg Config) (AnalysisResult, error) {
 	if s.Len() < 2*cfg.MaxRadius+cfg.VolatilityWindow+cfg.DetectorWarmup {
 		return AnalysisResult{}, fmt.Errorf("analyze %q: %d samples: %w", s.Name, s.Len(), ErrNotReady)
 	}
+	alphas := make([]float64, 0, s.Len())
+	mon.traj = &alphas
 	mon.AddColumns(s.Values)
+	vw, err := stream.NewVolatilityWindow(cfg.VolatilityWindow)
+	if err != nil {
+		return AnalysisResult{}, fmt.Errorf("analyze %q: %w", s.Name, err)
+	}
+	vols := make([]float64, 0, len(alphas))
+	for _, a := range alphas {
+		if v, ok := vw.Push(a); ok {
+			vols = append(vols, v)
+		}
+	}
 	res := AnalysisResult{
 		Jumps:      mon.Jumps(),
 		FinalPhase: mon.Phase(),
@@ -724,7 +643,7 @@ func Analyze(s series.Series, cfg Config) (AnalysisResult, error) {
 		Name:   s.Name + ".holder",
 		Start:  s.TimeAt(cfg.MaxRadius),
 		Step:   s.Step,
-		Values: mon.HolderValues(),
+		Values: alphas,
 	}
 	// The first volatility value summarizes alphas [0, w-1], i.e. raw
 	// samples up to MaxRadius + w - 1.
@@ -732,7 +651,7 @@ func Analyze(s series.Series, cfg Config) (AnalysisResult, error) {
 		Name:   s.Name + ".holdervol",
 		Start:  s.TimeAt(cfg.MaxRadius + cfg.VolatilityWindow - 1),
 		Step:   s.Step,
-		Values: mon.VolatilityValues(),
+		Values: vols,
 	}
 	return res, nil
 }

@@ -93,21 +93,27 @@ func TestMonitorLagAndSeriesLengths(t *testing.T) {
 	if mon.Lag() != cfg.MaxRadius {
 		t.Errorf("Lag = %d, want %d", mon.Lag(), cfg.MaxRadius)
 	}
-	n := 1000
+	n := 2000
 	rng := rand.New(rand.NewSource(1))
-	for i := 0; i < n; i++ {
-		mon.Add(rng.NormFloat64())
+	xs := make([]float64, n)
+	for i := range xs {
+		xs[i] = rng.NormFloat64()
+		mon.Add(xs[i])
 	}
 	if mon.SamplesSeen() != n {
 		t.Errorf("SamplesSeen = %d", mon.SamplesSeen())
 	}
+	res, err := Analyze(series.FromValues("x", xs), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	wantAlphas := n - 2*cfg.MaxRadius
-	if got := len(mon.HolderValues()); got != wantAlphas {
-		t.Errorf("alphas = %d, want %d", got, wantAlphas)
+	if got := len(res.Holder.Values); got != wantAlphas || mon.alphasSeen != wantAlphas {
+		t.Errorf("alphas = %d (monitor counted %d), want %d", got, mon.alphasSeen, wantAlphas)
 	}
 	wantVols := wantAlphas - cfg.VolatilityWindow + 1
-	if got := len(mon.VolatilityValues()); got != wantVols {
-		t.Errorf("vols = %d, want %d", got, wantVols)
+	if got := len(res.Volatility.Values); got != wantVols || mon.volsSeen != wantVols {
+		t.Errorf("vols = %d (monitor counted %d), want %d", got, mon.volsSeen, wantVols)
 	}
 }
 
@@ -228,17 +234,23 @@ func TestMonitorConstantInput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 2000; i++ {
+	xs := make([]float64, 2000)
+	for i := range xs {
+		xs[i] = 42
 		if _, fired := mon.Add(42); fired {
 			t.Fatal("jump on constant input")
 		}
 	}
-	for _, a := range mon.HolderValues() {
+	res, err := Analyze(series.FromValues("const", xs), DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, a := range res.Holder.Values {
 		if a != 1 {
 			t.Fatalf("alpha = %v on constant input, want 1", a)
 		}
 	}
-	for _, v := range mon.VolatilityValues() {
+	for _, v := range res.Volatility.Values {
 		if v != 0 {
 			t.Fatalf("volatility = %v on constant input, want 0", v)
 		}

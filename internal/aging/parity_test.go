@@ -7,14 +7,16 @@ import (
 
 	"agingmf/internal/memsim"
 	"agingmf/internal/series"
+	"agingmf/internal/stream"
 	"agingmf/internal/workload"
 )
 
 // Online/offline/column parity: the sample-at-a-time Add path is the
-// oracle, and the offline Analyze path, AddColumns at assorted chunk
-// sizes and bounded-history mode must reproduce it: identical jumps and
-// phases — not merely close, identical, including the serialized monitor
-// state where the configs coincide.
+// oracle, and the offline Analyze path and AddColumns at assorted chunk
+// sizes must reproduce it: identical jumps and phases — not merely
+// close, identical, including the serialized monitor state. Analyze's
+// trajectories are checked against the stream stages pushed one sample
+// at a time.
 
 // memsimTrace simulates one machine and returns its free-memory trace.
 func memsimTrace(t *testing.T, seed int64, n int) []float64 {
@@ -51,6 +53,32 @@ func addAll(t *testing.T, cfg Config, xs []float64) *Monitor {
 		mon.Add(v)
 	}
 	return mon
+}
+
+// stageTrajectories pushes xs one sample at a time through a bare
+// estimator and volatility window built from cfg: the per-sample oracle
+// of Analyze's Hölder and volatility series.
+func stageTrajectories(t *testing.T, cfg Config, xs []float64) (alphas, vols []float64) {
+	t.Helper()
+	est, err := stream.NewOscillationEstimator(cfg.ladder())
+	if err != nil {
+		t.Fatal(err)
+	}
+	vw, err := stream.NewVolatilityWindow(cfg.VolatilityWindow)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, x := range xs {
+		a, ok := est.Push(x)
+		if !ok {
+			continue
+		}
+		alphas = append(alphas, a)
+		if v, ok := vw.Push(a); ok {
+			vols = append(vols, v)
+		}
+	}
+	return alphas, vols
 }
 
 func saveBytes(t *testing.T, m *Monitor) []byte {
@@ -102,11 +130,12 @@ func TestMonitorParityAcrossEntryPoints(t *testing.T) {
 				if res.FinalPhase != ref.Phase() {
 					t.Fatalf("Analyze phase %v, want %v", res.FinalPhase, ref.Phase())
 				}
-				if want := ref.HolderValues(); !floatsEqual(res.Holder.Values, want) {
-					t.Fatal("Analyze Hölder trajectory diverged from Add path")
+				wantAlphas, wantVols := stageTrajectories(t, cfg, xs)
+				if !floatsEqual(res.Holder.Values, wantAlphas) {
+					t.Fatal("Analyze Hölder trajectory diverged from the per-sample stages")
 				}
-				if want := ref.VolatilityValues(); !floatsEqual(res.Volatility.Values, want) {
-					t.Fatal("Analyze volatility series diverged from Add path")
+				if !floatsEqual(res.Volatility.Values, wantVols) {
+					t.Fatal("Analyze volatility series diverged from the per-sample stages")
 				}
 
 				// AddColumns at assorted chunk sizes, including a trailing
@@ -125,15 +154,6 @@ func TestMonitorParityAcrossEntryPoints(t *testing.T) {
 					if !bytes.Equal(saveBytes(t, mon), refBlob) {
 						t.Fatalf("AddColumns(%d) state serialized differently from Add path", bs)
 					}
-				}
-
-				// Bounded-history mode: same detections, smaller memory.
-				cfgB := cfg
-				cfgB.HistoryLimit = 256
-				bounded := addAll(t, cfgB, xs)
-				sameJumps(t, "bounded", bounded.Jumps(), refJumps)
-				if bounded.Phase() != ref.Phase() {
-					t.Fatalf("bounded phase %v, want %v", bounded.Phase(), ref.Phase())
 				}
 			})
 		}

@@ -12,7 +12,8 @@ import (
 // Monitor state persistence: a long-running agent can SaveState before a
 // restart and resume with RestoreMonitor without losing its warmup,
 // baselines or jump history. The snapshot is self-describing (it embeds
-// the configuration).
+// the configuration) and holds only stage states, so its size does not
+// grow with the samples seen.
 //
 // The wire layout deliberately keeps the pre-internal/stream (v0) field
 // set so snapshots interoperate across the refactor in both directions:
@@ -20,8 +21,12 @@ import (
 // fields, so v0 blobs (no Version field) restore into current monitors,
 // and current blobs (Version=1) restore into v0 binaries. The stage
 // states of internal/stream are flattened into this layout on save and
-// reconstructed from it on restore; the golden-fixture tests in
-// golden_test.go pin the compatibility against committed v0 blobs.
+// reconstructed from it on restore. Blobs written before monitors
+// stopped keeping histories carry raw, Hölder and volatility histories;
+// restore reads the volatility ring from the Hölder tail and drops the
+// rest. A current blob writes Raw and Vols empty and Alphas as exactly
+// the ring's contents, which is all an older binary's restore needs. The
+// golden-fixture tests pin the compatibility against committed blobs.
 
 // monitorStateVersion is the current snapshot schema version. Version 0
 // (the zero value, i.e. a blob written before the field existed) is the
@@ -38,9 +43,9 @@ type monitorState struct {
 	Seen       int
 	AlphasSeen int
 	VolsSeen   int
-	Raw        []float64
-	Alphas     []float64
-	Vols       []float64
+	Raw        []float64 // legacy history; written empty
+	Alphas     []float64 // the volatility ring's values in push order
+	Vols       []float64 // legacy history; written empty
 
 	VolSum   float64
 	VolSumSq float64
@@ -109,9 +114,7 @@ func (m *Monitor) SaveState() ([]byte, error) {
 		Seen:          m.seen,
 		AlphasSeen:    m.alphasSeen,
 		VolsSeen:      m.volsSeen,
-		Raw:           m.raw,
-		Alphas:        m.alphas,
-		Vols:          m.vols,
+		Alphas:        ringTail(volSt),
 		VolSum:        volSt.Sum,
 		VolSumSq:      volSt.SumSq,
 		CalN:          stdSt.N,
@@ -131,6 +134,18 @@ func (m *Monitor) SaveState() ([]byte, error) {
 		return nil, fmt.Errorf("save state: encode: %w", err)
 	}
 	return buf.Bytes(), nil
+}
+
+// ringTail returns the volatility ring's last min(Count, W) values in
+// push order: the inverse of stream.RebuildVolatilityRing, and the only
+// part of the Hölder trajectory a snapshot keeps.
+func ringTail(st stream.VolatilityWindowState) []float64 {
+	k := min(st.Count, st.W)
+	tail := make([]float64, k)
+	for i := range tail {
+		tail[i] = st.Ring[(st.Count-k+i)%st.W]
+	}
+	return tail
 }
 
 // RestoreMonitor reconstructs a monitor from a SaveState snapshot —
@@ -167,10 +182,10 @@ func RestoreMonitor(data []byte) (*Monitor, error) {
 	if m.est, err = stream.RestoreOscillationEstimator(estSt); err != nil {
 		return nil, fmt.Errorf("restore monitor: %w", err)
 	}
-	// The legacy layout persists the running window sums plus the alpha
-	// history (whose retained tail always spans the window, see
-	// trimHistory); the window ring is reconstructed from that tail so the
-	// restored monitor's arithmetic continues bit for bit.
+	// The layout persists the running window sums plus an alpha tail that
+	// spans the window (a legacy history's bounded tail always did); the
+	// window ring is reconstructed from that tail so the restored
+	// monitor's arithmetic continues bit for bit.
 	ring, err := stream.RebuildVolatilityRing(st.Config.VolatilityWindow, st.AlphasSeen, st.Alphas)
 	if err != nil {
 		return nil, fmt.Errorf("restore monitor: %w", err)
@@ -202,9 +217,6 @@ func RestoreMonitor(data []byte) (*Monitor, error) {
 	m.seen = st.Seen
 	m.alphasSeen = st.AlphasSeen
 	m.volsSeen = st.VolsSeen
-	m.raw = st.Raw
-	m.alphas = st.Alphas
-	m.vols = st.Vols
 	m.jumps = st.Jumps
 	return m, nil
 }

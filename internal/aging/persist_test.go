@@ -1,6 +1,7 @@
 package aging
 
 import (
+	"bytes"
 	"testing"
 )
 
@@ -59,21 +60,16 @@ func TestSaveRestoreContinuesExactly(t *testing.T) {
 			if reference.Phase() != second.Phase() {
 				t.Fatalf("phase: reference %v, restored %v", reference.Phase(), second.Phase())
 			}
-			// Derived series must match too.
-			refVols := reference.VolatilityValues()
-			gotVols := second.VolatilityValues()
-			if len(refVols) != len(gotVols) {
-				t.Fatalf("vols length: %d vs %d", len(refVols), len(gotVols))
-			}
-			for i := range refVols {
-				if refVols[i] != gotVols[i] {
-					t.Fatalf("vol %d differs", i)
-				}
+			// Every stage state must match too.
+			if !bytes.Equal(saveBytes(t, reference), saveBytes(t, second)) {
+				t.Fatal("restored-and-continued state serializes differently from the reference")
 			}
 		})
 	}
 }
 
+// TestSaveRestoreBoundedMode: a config that still carries the deprecated
+// HistoryLimit round-trips like any other.
 func TestSaveRestoreBoundedMode(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.HistoryLimit = 512
@@ -111,6 +107,9 @@ func TestSaveRestoreBoundedMode(t *testing.T) {
 		if second.Jumps()[i] != j {
 			t.Fatalf("bounded jump %d differs", i)
 		}
+	}
+	if !bytes.Equal(saveBytes(t, reference), saveBytes(t, second)) {
+		t.Fatal("bounded restored-and-continued state serializes differently")
 	}
 }
 

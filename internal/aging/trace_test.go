@@ -13,7 +13,6 @@ import (
 // moment the flight recorder is enabled.
 func TestAddTracedParity(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.HistoryLimit = 512
 	plain, err := NewDualMonitor(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -64,7 +63,6 @@ func TestAddTracedParity(t *testing.T) {
 func TestAddTracedNilTimingsNoAllocs(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.ShewhartK = 100 // never fires on a stationary stream
-	cfg.HistoryLimit = 512
 	mon, err := NewMonitor(cfg)
 	if err != nil {
 		t.Fatal(err)

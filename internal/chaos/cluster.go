@@ -136,7 +136,7 @@ func RunCluster(ctx context.Context, cfg ClusterConfig) (ClusterReport, error) {
 	monCfg := aging.Config{
 		MinRadius: 2, MaxRadius: 8, VolatilityWindow: 8,
 		Detector: aging.DetectShewhart, ShewhartK: 4,
-		DetectorWarmup: 8, Refractory: 4, HistoryLimit: 32,
+		DetectorWarmup: 8, Refractory: 4,
 	}
 	traces := make([][][2]float64, cfg.Sources)
 	ids := make([]string, cfg.Sources)

@@ -17,7 +17,6 @@ func ingestTestMonitor() aging.Config {
 	cfg.VolatilityWindow = 8
 	cfg.DetectorWarmup = 8
 	cfg.Refractory = 4
-	cfg.HistoryLimit = 64
 	return cfg
 }
 

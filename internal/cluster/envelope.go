@@ -32,7 +32,7 @@ var ErrBadEnvelope = errors.New("cluster: bad migration envelope")
 // Envelope is one source's migration payload: everything the target
 // needs to continue the source exactly where the origin stopped — the
 // versioned gob monitor state (estimator ladder, volatility ring,
-// standardizer baseline, refractory gate, histories) plus the flight
+// standardizer baseline, refractory gate, jumps) plus the flight
 // recorder tail, so post-hoc forensics survive the move too.
 type Envelope struct {
 	// Version is the envelope schema version (EnvelopeVersion).

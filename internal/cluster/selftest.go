@@ -96,7 +96,6 @@ func selfTestMonitorConfig() aging.Config {
 		ShewhartK:        4,
 		DetectorWarmup:   8,
 		Refractory:       4,
-		HistoryLimit:     32,
 	}
 }
 

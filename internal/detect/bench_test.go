@@ -3,13 +3,10 @@ package detect
 import (
 	"fmt"
 	"math/rand"
-	"os"
 	"testing"
-	"time"
 )
 
-// benchSet builds a set in bounded-history mode (the daemon's steady
-// state) over the scaled-down test configs.
+// benchSet builds a set over the scaled-down test configs.
 func benchSet(b testing.TB, kinds ...string) *MonitorSet {
 	set, err := New(kinds, testConfig())
 	if err != nil {
@@ -19,8 +16,9 @@ func benchSet(b testing.TB, kinds ...string) *MonitorSet {
 }
 
 // BenchmarkMonitorSetAdd measures the per-sample cost of the set across
-// suite shapes — the number the ≤2.5× two-detector budget is asserted
-// against in TestMonitorSetOverheadBudget.
+// suite shapes on the per-sample path. The ≤2.5× two-detector budget is
+// asserted on the daemon's column path, by TestMonitorSetOverheadBudget
+// in internal/ingest.
 func BenchmarkMonitorSetAdd(b *testing.B) {
 	shapes := [][]string{
 		{KindHolder},
@@ -49,7 +47,7 @@ func BenchmarkMonitorSetAdd(b *testing.B) {
 func TestMonitorSetSteadyStateAllocs(t *testing.T) {
 	set := benchSet(t, KindHolder, KindEntropy, KindAdaptive)
 	rng := rand.New(rand.NewSource(2))
-	// Warm past every warmup boundary so ring/history growth is done.
+	// Warm past every warmup boundary so ring growth is done.
 	for i := 0; i < 4000; i++ {
 		set.Add(100+rng.Float64()-0.5, 5+0.05*(rng.Float64()-0.5))
 	}
@@ -57,47 +55,5 @@ func TestMonitorSetSteadyStateAllocs(t *testing.T) {
 		set.Add(100+rng.Float64()-0.5, 5+0.05*(rng.Float64()-0.5))
 	}); avg != 0 {
 		t.Fatalf("steady-state Add allocates %v times per sample, want 0", avg)
-	}
-}
-
-// TestMonitorSetOverheadBudget asserts the documented cost envelope: a
-// two-detector set (holder+entropy) stays within 2.5× the single-holder
-// per-sample cost. Timing assertions are noisy under parallel test load,
-// so the check runs in isolation via `make bench-smoke`
-// (AGINGMF_DETECT_BUDGET=1).
-func TestMonitorSetOverheadBudget(t *testing.T) {
-	if os.Getenv("AGINGMF_DETECT_BUDGET") == "" {
-		t.Skip("timing assertion runs in isolation via `make bench-smoke` (AGINGMF_DETECT_BUDGET=1)")
-	}
-	const samples = 200000
-	run := func(kinds ...string) time.Duration {
-		set := benchSet(t, kinds...)
-		rng := rand.New(rand.NewSource(3))
-		pairs := make([][2]float64, samples)
-		for i := range pairs {
-			pairs[i] = [2]float64{100 + rng.Float64() - 0.5, 5 + 0.05*(rng.Float64()-0.5)}
-		}
-		start := time.Now()
-		for _, p := range pairs {
-			set.Add(p[0], p[1])
-		}
-		return time.Since(start)
-	}
-	// Interleave five rounds and keep the fastest of each shape, damping
-	// scheduler noise the same way the tracing budget test does; the
-	// first round additionally serves as a warmup for both shapes.
-	single, dual := time.Duration(1<<62), time.Duration(1<<62)
-	for round := 0; round < 5; round++ {
-		if d := run(KindHolder); d < single {
-			single = d
-		}
-		if d := run(KindHolder, KindEntropy); d < dual {
-			dual = d
-		}
-	}
-	ratio := float64(dual) / float64(single)
-	t.Logf("holder: %v for %d samples; holder+entropy: %v; ratio %.2fx", single, samples, dual, ratio)
-	if ratio > 2.5 {
-		t.Fatalf("two-detector set costs %.2fx the single-detector baseline, budget is 2.5x", ratio)
 	}
 }

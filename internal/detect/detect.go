@@ -202,7 +202,9 @@ func DefaultConfig() Config {
 	}
 }
 
-// withDefaults fills zero-valued sub-configurations.
+// withDefaults fills zero-valued sub-configurations. A zero
+// Adaptive.Monitor inherits Monitor even when the rest of Adaptive is
+// zero too and takes the adaptive defaults.
 func (c Config) withDefaults() Config {
 	if c.Monitor == (aging.Config{}) {
 		c.Monitor = aging.DefaultConfig()
@@ -210,10 +212,11 @@ func (c Config) withDefaults() Config {
 	if c.Entropy == (EntropyConfig{}) {
 		c.Entropy = DefaultEntropyConfig()
 	}
+	inherit := c.Adaptive.Monitor == (aging.Config{})
 	if c.Adaptive == (AdaptiveConfig{}) {
 		c.Adaptive = DefaultAdaptiveConfig()
 	}
-	if c.Adaptive.Monitor == (aging.Config{}) {
+	if inherit {
 		c.Adaptive.Monitor = c.Monitor
 	}
 	return c

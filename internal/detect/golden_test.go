@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"agingmf/internal/aging"
@@ -170,5 +171,89 @@ func TestGoldenDualRestoresIntoHolderSet(t *testing.T) {
 				t.Fatalf("re-saved holder-only set is not a legacy DualMonitor blob: %v", err)
 			}
 		})
+	}
+}
+
+// setFixtureConfig duplicates the config in testdata/gen_set_fixture.go.
+func setFixtureConfig() Config {
+	mon := fixtureConfig(aging.DetectShewhart, 0)
+	ent := DefaultEntropyConfig()
+	ent.BaselineEvals = 8
+	return Config{
+		Monitor: mon,
+		Entropy: ent,
+		Adaptive: AdaptiveConfig{
+			Monitor:     mon,
+			ShiftLambda: 0.05,
+			ShiftK:      8,
+			ShiftWarmup: 32,
+			Refractory:  64,
+		},
+	}
+}
+
+// TestGoldenHistorySetRestores pins the legacy path of history-free
+// monitors: testdata/set_history_v1.gob is a holder+entropy+adaptive set
+// written when every Hölder monitor still kept full raw, Hölder and
+// volatility histories (see testdata/gen_set_fixture.go). It must
+// restore, drop those histories, continue the fixture trace through the
+// column kernel event-for-event with a fresh set fed the whole trace one
+// pair at a time, and then save the very same bytes.
+func TestGoldenHistorySetRestores(t *testing.T) {
+	blob, err := os.ReadFile(filepath.Join("testdata", "set_history_v1.gob"))
+	if err != nil {
+		t.Fatalf("read fixture: %v", err)
+	}
+	kinds := []string{KindHolder, KindEntropy, KindAdaptive}
+	restored, err := RestoreMonitorSet(blob)
+	if err != nil {
+		t.Fatalf("restore history-full set: %v", err)
+	}
+	if got := restored.Kinds(); !reflect.DeepEqual(got, kinds) {
+		t.Fatalf("restored kinds %v, want %v", got, kinds)
+	}
+	if restored.SamplesSeen() != fixtureSplit {
+		t.Fatalf("restored SamplesSeen = %d, want %d", restored.SamplesSeen(), fixtureSplit)
+	}
+	if restored.Phase() == aging.PhaseHealthy {
+		t.Fatal("fixture should have jumped before the split")
+	}
+	fresh, err := New(kinds, setFixtureConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	free := fixtureTrace(61, fixtureLen)
+	swap := fixtureTrace(62, fixtureLen)
+	var want []Event
+	for i := 0; i < fixtureLen; i++ {
+		ev := fresh.Add(free[i], swap[i])
+		if i >= fixtureSplit {
+			want = append(want, ev...)
+		}
+	}
+	if len(want) == 0 {
+		t.Fatal("no events after the split; the continuation check is vacuous")
+	}
+	var got []Event
+	for off := fixtureSplit; off < fixtureLen; off += 64 {
+		end := min(off+64, fixtureLen)
+		got = append(got, restored.AddColumns(free[off:end], swap[off:end])...)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("continued events %+v, want %+v", got, want)
+	}
+	freshBlob, err := fresh.SaveState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	restoredBlob, err := restored.SaveState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(freshBlob, restoredBlob) {
+		t.Fatal("continued history-full state and uninterrupted state serialize differently")
+	}
+	if len(restoredBlob) >= len(blob)/2 {
+		t.Fatalf("re-saved set is %d B against the history-full %d B: histories were kept", len(restoredBlob), len(blob))
 	}
 }

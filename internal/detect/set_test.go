@@ -21,7 +21,6 @@ func testMonitorConfig() aging.Config {
 	cfg.DetectorWarmup = 128
 	cfg.ShewhartK = 5
 	cfg.Refractory = 32
-	cfg.HistoryLimit = 256
 	return cfg
 }
 

@@ -219,7 +219,6 @@ func runRejuvArm(sc rejuvScenario, arm string, cfg RunConfig, cost rejuv.CostMod
 	n := rejuvFleetSize(cfg)
 	horizon := rejuvHorizon(cfg)
 	moncfg := aging.DefaultConfig()
-	moncfg.HistoryLimit = 4096
 	fleet, err := rejuvFleet(sc, n, cfg.Seed, moncfg)
 	if err != nil {
 		return rejuvArmResult{}, fmt.Errorf("%s/%s: %w", sc.Name, arm, err)

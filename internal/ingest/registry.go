@@ -69,8 +69,8 @@ type Config struct {
 	DropWhenFull bool
 	// Monitor configures the Hölder pipeline of every per-source holder
 	// (and, by default, adaptive) detector (zero value selects
-	// aging.DefaultConfig). Bound the history (HistoryLimit) in production:
-	// the registry holds one detector set per source.
+	// aging.DefaultConfig). A monitor keeps only its stage states, so a
+	// source's memory does not grow with the samples it has seen.
 	Monitor aging.Config
 	// Detectors selects each source's detector suite by kind ("holder",
 	// "entropy", "adaptive"; see internal/detect). Empty selects holder

@@ -24,7 +24,6 @@ func testMonitorConfig() aging.Config {
 	cfg.VolatilityWindow = 8
 	cfg.DetectorWarmup = 8
 	cfg.Refractory = 4
-	cfg.HistoryLimit = 64
 	return cfg
 }
 

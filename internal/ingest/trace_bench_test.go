@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"agingmf/internal/aging"
+	"agingmf/internal/detect"
 	"agingmf/internal/trace"
 )
 
@@ -180,15 +181,12 @@ func TestTraceOverheadBudget(t *testing.T) {
 
 // recorderOverheadRun ingests trace as binary-wire column batches of
 // frame samples into sources fresh sources, under the default monitor
-// configuration with agingd's default history bound and a flight
-// recorder of the given depth (0 = off), and returns the elapsed time
+// configuration and a flight recorder of the given depth (0 = off), and returns the elapsed time
 // (see stopwatch). The registry is closed inside the timed window, as in
 // traceOverheadRun.
 func recorderOverheadRun(tb testing.TB, trace [][2]float64, sources, frame, depth int) time.Duration {
 	tb.Helper()
-	mon := aging.DefaultConfig()
-	mon.HistoryLimit = 4096
-	r, err := NewRegistry(Config{Monitor: mon, FlightRecorderDepth: depth})
+	r, err := NewRegistry(Config{Monitor: aging.DefaultConfig(), FlightRecorderDepth: depth})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -244,6 +242,62 @@ func TestRecorderOverheadBudget(t *testing.T) {
 	t.Logf("%d samples: depth %d/off: median paired ratio %.3f", sources*len(trace), depth, ratio)
 	if ratio > 1.10 {
 		t.Fatalf("a depth-%d flight recorder costs %.1f%%; budget is 10%%", depth, (ratio-1)*100)
+	}
+}
+
+// setOverheadRun feeds a trace through a fresh MonitorSet of the given
+// detectors at agingd's default configuration, as the shard does: one
+// AddColumns call per unit-sample slice of the columns. It returns the
+// elapsed time (see stopwatch).
+func setOverheadRun(tb testing.TB, free, swap []float64, unit int, kinds ...string) time.Duration {
+	tb.Helper()
+	set, err := detect.New(kinds, detect.Config{Monitor: aging.DefaultConfig()})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	sw := startStopwatch()
+	for off := 0; off < len(free); off += unit {
+		end := min(off+unit, len(free))
+		set.AddColumns(free[off:end], swap[off:end])
+	}
+	elapsed := sw.elapsed()
+	if got := set.SamplesSeen(); got != len(free) {
+		tb.Fatalf("set consumed %d samples, want %d", got, len(free))
+	}
+	return elapsed
+}
+
+// TestMonitorSetOverheadBudget enforces the detector suite's cost
+// envelope on the daemon's path: a memsim trace through
+// MonitorSet.AddColumns in 256-sample units costs a two-detector set
+// (holder+entropy) at most 2.5x what it costs holder alone, as the
+// median paired ratio (see overheadRatio). Like the other budgets it
+// runs in isolation via `make bench-smoke` (AGINGMF_DETECT_BUDGET=1).
+func TestMonitorSetOverheadBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("timing assertion is meaningless under the race detector")
+	}
+	if testing.Short() {
+		t.Skip("timing assertion skipped in -short mode")
+	}
+	if os.Getenv("AGINGMF_DETECT_BUDGET") == "" {
+		t.Skip("timing assertion runs in isolation via `make bench-smoke` (AGINGMF_DETECT_BUDGET=1)")
+	}
+	const unit = 256
+	trace := leakTrace(t, 1, 0.6, 16384)
+	free, swap := make([]float64, len(trace)), make([]float64, len(trace))
+	for i, p := range trace {
+		free[i], swap[i] = p[0], p[1]
+	}
+	setOverheadRun(t, free, swap, unit, detect.KindHolder, detect.KindEntropy) // warm up
+	ratio := overheadRatio(budgetPairs,
+		func() time.Duration { return setOverheadRun(t, free, swap, unit, detect.KindHolder) },
+		func() time.Duration {
+			return setOverheadRun(t, free, swap, unit, detect.KindHolder, detect.KindEntropy)
+		})
+	t.Logf("%d samples in %d-sample units: holder+entropy/holder median paired ratio %.3f", len(free), unit, ratio)
+	if ratio > 2.5 {
+		t.Fatalf("two-detector set costs %.2fx the single-detector baseline, budget is 2.5x", ratio)
 	}
 }
 

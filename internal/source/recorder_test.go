@@ -22,7 +22,6 @@ func recorderMonitorConfig() aging.Config {
 	cfg.VolatilityWindow = 8
 	cfg.DetectorWarmup = 8
 	cfg.Refractory = 4
-	cfg.HistoryLimit = 64
 	return cfg
 }
 

@@ -69,15 +69,31 @@ func (v *VolatilityWindow) Push(x float64) (float64, bool) {
 	if v.memoOK && v.sum == v.memoSum && v.sumSq == v.memoSumSq {
 		return v.memoVol, true
 	}
+	vol := v.std()
+	v.memoSum, v.memoSumSq, v.memoVol, v.memoOK = v.sum, v.sumSq, vol, true
+	return vol, true
+}
+
+// Value returns the moving standard deviation of the current window —
+// what the last Push returned — recomputed from the running moments, and
+// false until the window has filled. A restored window reports its
+// volatility this way without a value history.
+func (v *VolatilityWindow) Value() (float64, bool) {
+	if v.count < v.w {
+		return 0, false
+	}
+	return v.std(), true
+}
+
+// std is the standard deviation of the window from its running moments.
+func (v *VolatilityWindow) std() float64 {
 	fw := float64(v.w)
 	mean := v.sum / fw
 	va := v.sumSq/fw - mean*mean
 	if va < 0 {
 		va = 0
 	}
-	vol := math.Sqrt(va)
-	v.memoSum, v.memoSumSq, v.memoVol, v.memoOK = v.sum, v.sumSq, vol, true
-	return vol, true
+	return math.Sqrt(va)
 }
 
 // VolatilityWindowState is the persistable state of the stage.
@@ -120,8 +136,9 @@ func RestoreVolatilityWindow(st VolatilityWindowState) (*VolatilityWindow, error
 
 // RebuildVolatilityRing reconstructs the ring layout from the tail of the
 // value history: tail's last element is the most recent push. It is used
-// to restore pre-stream monitor snapshots, which persisted the history
-// slice and running sums but no ring. The returned slice has length w.
+// to restore monitor snapshots, which persist the running sums and such a
+// tail (the window's values, or in older snapshots a longer history) but
+// no ring. The returned slice has length w.
 func RebuildVolatilityRing(w, count int, tail []float64) ([]float64, error) {
 	if w < 2 || count < 0 {
 		return nil, ErrBadState
