@@ -86,13 +86,18 @@ func (c Config) radii() []int {
 	return out
 }
 
+// oscillationChunk is how many samples Oscillation hands the estimator
+// per PushColumns call: long enough that the batch kernel runs, short
+// enough that its scratch stays small whatever the series length.
+const oscillationChunk = 4096
+
 // Oscillation estimates the Hölder trajectory of s with the oscillation
 // method, by streaming the series through the same
 // stream.OscillationEstimator kernel the online aging monitor runs, so
 // offline trajectories and online detection agree by construction. The
 // output series is aligned with the input (same Start/Step, shifted by
 // MaxRadius at both ends) and holds one exponent per evaluated point.
-// Runs in O(n * #radii) using sliding min/max deques.
+// Runs in O(n * #radii) on the estimator's batch kernel.
 func Oscillation(s series.Series, cfg Config) (series.Series, error) {
 	n := s.Len()
 	if err := cfg.validate(n); err != nil {
@@ -109,20 +114,21 @@ func Oscillation(s series.Series, cfg Config) (series.Series, error) {
 		Step:   s.Step * time.Duration(cfg.Stride),
 		Values: make([]float64, 0, (hi-lo+cfg.Stride-1)/cfg.Stride),
 	}
-	// The estimator emits the exponent for center t-Lag() when sample t is
-	// pushed; keep the interior centers the stride selects. (Lag can be
-	// below MaxRadius when the dyadic ladder does not land on MaxRadius
-	// exactly, hence the lower-bound check.)
-	for _, v := range s.Values {
-		alpha, ok := est.Push(v)
-		if !ok {
-			continue
+	// The estimator emits consecutive centers, the last of a batch being
+	// Seen()-1-Lag(); keep the interior centers the stride selects. (Lag
+	// can be below MaxRadius when the dyadic ladder does not land on
+	// MaxRadius exactly, hence the lower-bound check.)
+	var alphas []float64
+	for off := 0; off < n; off += oscillationChunk {
+		alphas = est.PushColumns(s.Values[off:min(off+oscillationChunk, n)], alphas[:0])
+		c0 := est.Seen() - est.Lag() - len(alphas)
+		for i, alpha := range alphas {
+			c := c0 + i
+			if c < lo || c >= hi || (c-lo)%cfg.Stride != 0 {
+				continue
+			}
+			out.Values = append(out.Values, alpha)
 		}
-		c := est.Seen() - 1 - est.Lag()
-		if c < lo || c >= hi || (c-lo)%cfg.Stride != 0 {
-			continue
-		}
-		out.Values = append(out.Values, alpha)
 	}
 	return out, nil
 }

@@ -121,6 +121,73 @@ func TestOscillationMatchesNaiveScan(t *testing.T) {
 	}
 }
 
+// perSampleOscillation is the per-sample form of Oscillation: every
+// sample through Push, keeping the centers the stride selects.
+func perSampleOscillation(t *testing.T, xs []float64, cfg Config) []float64 {
+	t.Helper()
+	est, err := stream.NewOscillationEstimator(cfg.radii())
+	if err != nil {
+		t.Fatal(err)
+	}
+	lo, hi := cfg.MaxRadius, len(xs)-cfg.MaxRadius
+	var out []float64
+	for _, v := range xs {
+		alpha, ok := est.Push(v)
+		if !ok {
+			continue
+		}
+		if c := est.Seen() - 1 - est.Lag(); c >= lo && c < hi && (c-lo)%cfg.Stride == 0 {
+			out = append(out, alpha)
+		}
+	}
+	return out
+}
+
+func TestOscillationChunkedMatchesPerSample(t *testing.T) {
+	// Oscillation feeds the estimator in oscillationChunk batches; its
+	// trajectory must be bit-identical to the per-sample loop across
+	// chunk boundaries, strides, and dyadic and fallback ladders.
+	const n = 2*oscillationChunk + 777
+	rng := rand.New(rand.NewSource(9))
+	fbm, err := gen.FBM(n, 0.3, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	weier, err := gen.Weierstrass(n, 0.6, 2, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cascade, err := gen.BinomialCascade(14, 0.3, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	walk, err := gen.RandomWalk(n, 1, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range walk {
+		walk[i] = math.Round(walk[i]) // plateaus and ties
+	}
+	signals := map[string][]float64{"fbm": fbm, "weierstrass": weier, "cascade": cascade, "walk": walk}
+	for name, xs := range signals {
+		for _, cfg := range []Config{DefaultConfig(), {MinRadius: 2, MaxRadius: 16, Stride: 3}, {MinRadius: 4, MaxRadius: 10, Stride: 2}} {
+			traj, err := Oscillation(series.FromValues(name, xs), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := perSampleOscillation(t, xs, cfg)
+			if len(traj.Values) != len(want) {
+				t.Fatalf("%s %+v: %d values, per-sample %d", name, cfg, len(traj.Values), len(want))
+			}
+			for i := range want {
+				if math.Float64bits(traj.Values[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("%s %+v: value %d = %v, per-sample %v", name, cfg, i, traj.Values[i], want[i])
+				}
+			}
+		}
+	}
+}
+
 func TestOscillationRecoversFBMExponent(t *testing.T) {
 	// Mean Hölder exponent of fBm is its Hurst index. The oscillation
 	// method on finite windows is biased but must land in a band around H

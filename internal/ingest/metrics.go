@@ -22,9 +22,9 @@ const (
 	// both families are incremented so dashboards keyed on the legacy
 	// ingest-scoped name keep working.
 	metricAlertDropsFleet = "agingmf_alert_drops_total"
-	metricConns      = "agingmf_ingest_connections_total"
-	metricConnsOpen  = "agingmf_ingest_open_connections"
-	metricSnapshots  = "agingmf_ingest_snapshots_total"
+	metricConns           = "agingmf_ingest_connections_total"
+	metricConnsOpen       = "agingmf_ingest_open_connections"
+	metricSnapshots       = "agingmf_ingest_snapshots_total"
 	// metricSnapshotCorrupt is registered on demand by the quarantine
 	// path (server startup), not in newMetrics — the healthy case never
 	// creates the family.
@@ -40,20 +40,20 @@ var handleBuckets = []float64{
 // metrics holds the ingest instruments. The zero value (all nil) is fully
 // functional: every update is a no-op.
 type metrics struct {
-	samples    *obs.CounterVec // by shard
-	dropped    *obs.CounterVec // by reason
-	badLines   *obs.Counter
-	badFrames  *obs.CounterVec // by reason
-	sources    *obs.Gauge
-	queueDepth *obs.GaugeVec // by shard
-	handleSec  *obs.Histogram
+	samples         *obs.CounterVec // by shard
+	dropped         *obs.CounterVec // by reason
+	badLines        *obs.Counter
+	badFrames       *obs.CounterVec // by reason
+	sources         *obs.Gauge
+	queueDepth      *obs.GaugeVec // by shard
+	handleSec       *obs.Histogram
 	alerts          *obs.CounterVec // by kind
 	alertDrops      *obs.CounterVec // by sink (legacy name)
 	alertDropsFleet *obs.CounterVec // by sink (control-plane name)
-	conns      *obs.CounterVec // by proto
-	connsOpen  *obs.Gauge
-	snapshots  *obs.Counter
-	res        resilience.Metrics
+	conns           *obs.CounterVec // by proto
+	connsOpen       *obs.Gauge
+	snapshots       *obs.Counter
+	res             resilience.Metrics
 }
 
 // newMetrics registers the ingest families on reg; a nil registry yields

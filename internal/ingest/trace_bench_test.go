@@ -64,39 +64,6 @@ func overheadRatio(reps int, base, arm func() time.Duration) float64 {
 	return ratios[reps/2]
 }
 
-// traceOverheadRun pushes iters batches of size pairs through a fresh
-// registry configured with the given tracing options and returns the
-// elapsed time (see stopwatch). The registry is closed inside the timed
-// window:
-// backpressure fills the queue almost immediately, so the measured time
-// is end-to-end shard consumption, and the close accounts for the
-// residual drain.
-func traceOverheadRun(tb testing.TB, iters, size, sampleEvery, recorderDepth int) time.Duration {
-	tb.Helper()
-	r, err := NewRegistry(Config{
-		Monitor:             testMonitorConfig(),
-		TraceSampleEvery:    sampleEvery,
-		FlightRecorderDepth: recorderDepth,
-	})
-	if err != nil {
-		tb.Fatal(err)
-	}
-	pairs := make([][2]float64, size)
-	for i := range pairs {
-		pairs[i] = [2]float64{1e9 - float64(i), float64(i)}
-	}
-	sw := startStopwatch()
-	for i := 0; i < iters; i++ {
-		if err := r.IngestColumns(columnBatch("bench-0000", pairs)); err != nil {
-			tb.Fatal(err)
-		}
-	}
-	if err := r.Close(); err != nil {
-		tb.Fatal(err)
-	}
-	return sw.elapsed()
-}
-
 // BenchmarkIngestTraceOverhead is the paired overhead benchmark: the same
 // batched workload with tracing off, sampled at 1/1024, traced on every
 // unit, and with the flight recorder on. Compare ns/sample across the
@@ -145,11 +112,12 @@ func BenchmarkIngestTraceOverhead(b *testing.B) {
 }
 
 // TestTraceOverheadBudget enforces the tracing cost contract in CI: at the
-// recommended production rate (one traced unit in 1024) end-to-end batched
-// throughput must stay within the documented 5% of tracing-off — asserted
-// at 10% here to absorb shared-runner noise on top of the documented
-// budget. The flight recorder is off in both arms: it has its own
-// budget, TestRecorderOverheadBudget.
+// recommended production rate (one traced unit in 1024), binary
+// ingestion of a memsim trace in 256-sample column units must stay
+// within the documented 5% of tracing-off — asserted at 10% here to
+// absorb shared-runner noise on top of the documented budget. The
+// flight recorder is off in both arms: it has its own budget,
+// TestRecorderOverheadBudget.
 func TestTraceOverheadBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("timing assertion is meaningless under the race detector")
@@ -166,27 +134,36 @@ func TestTraceOverheadBudget(t *testing.T) {
 		t.Skip("timing assertion runs in isolation via `make bench-smoke` (AGINGMF_TRACE_BUDGET=1)")
 	}
 	const (
-		iters = 2000
-		size  = 256
+		sources = 64
+		frame   = 256
+		every   = 1024
 	)
-	traceOverheadRun(t, iters, size, 0, 0) // warm up code paths and the page cache once
+	trace := leakTrace(t, 1, 1.2, 4096)
+	ingestOverheadRun(t, trace, sources, frame, 0, 0) // warm up code paths and pools
 	ratio := overheadRatio(budgetPairs,
-		func() time.Duration { return traceOverheadRun(t, iters, size, 0, 0) },
-		func() time.Duration { return traceOverheadRun(t, iters, size, 1024, 0) })
-	t.Logf("sampled(1/1024)/off: median paired ratio %.3f", ratio)
+		func() time.Duration { return ingestOverheadRun(t, trace, sources, frame, 0, 0) },
+		func() time.Duration { return ingestOverheadRun(t, trace, sources, frame, every, 0) })
+	t.Logf("%d samples: sampled(1/%d)/off: median paired ratio %.3f", sources*len(trace), every, ratio)
 	if ratio > 1.10 {
-		t.Fatalf("1/1024 sampling costs %.1f%%; budget is 5%% (+CI slack)", (ratio-1)*100)
+		t.Fatalf("1/%d sampling costs %.1f%%; budget is 5%% (+CI slack)", every, (ratio-1)*100)
 	}
 }
 
-// recorderOverheadRun ingests trace as binary-wire column batches of
+// ingestOverheadRun ingests trace as binary-wire column batches of
 // frame samples into sources fresh sources, under the default monitor
-// configuration and a flight recorder of the given depth (0 = off), and returns the elapsed time
-// (see stopwatch). The registry is closed inside the timed window, as in
-// traceOverheadRun.
-func recorderOverheadRun(tb testing.TB, trace [][2]float64, sources, frame, depth int) time.Duration {
+// configuration, tracing one unit in sampleEvery (0 = off) and a flight
+// recorder of the given depth (0 = off), and returns the elapsed time
+// (see stopwatch). The registry is closed inside the timed window:
+// backpressure fills the queues almost immediately, so the measured
+// time is end-to-end shard consumption, and the close accounts for the
+// residual drain.
+func ingestOverheadRun(tb testing.TB, trace [][2]float64, sources, frame, sampleEvery, depth int) time.Duration {
 	tb.Helper()
-	r, err := NewRegistry(Config{Monitor: aging.DefaultConfig(), FlightRecorderDepth: depth})
+	r, err := NewRegistry(Config{
+		Monitor:             aging.DefaultConfig(),
+		TraceSampleEvery:    sampleEvery,
+		FlightRecorderDepth: depth,
+	})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -235,10 +212,10 @@ func TestRecorderOverheadBudget(t *testing.T) {
 		depth   = 64
 	)
 	trace := leakTrace(t, 1, 1.2, 4096)
-	recorderOverheadRun(t, trace, sources, frame, depth) // warm up code paths and pools
+	ingestOverheadRun(t, trace, sources, frame, 0, depth) // warm up code paths and pools
 	ratio := overheadRatio(budgetPairs,
-		func() time.Duration { return recorderOverheadRun(t, trace, sources, frame, 0) },
-		func() time.Duration { return recorderOverheadRun(t, trace, sources, frame, depth) })
+		func() time.Duration { return ingestOverheadRun(t, trace, sources, frame, 0, 0) },
+		func() time.Duration { return ingestOverheadRun(t, trace, sources, frame, 0, depth) })
 	t.Logf("%d samples: depth %d/off: median paired ratio %.3f", sources*len(trace), depth, ratio)
 	if ratio > 1.10 {
 		t.Fatalf("a depth-%d flight recorder costs %.1f%%; budget is 10%%", depth, (ratio-1)*100)
@@ -267,12 +244,19 @@ func setOverheadRun(tb testing.TB, free, swap []float64, unit int, kinds ...stri
 	return elapsed
 }
 
-// TestMonitorSetOverheadBudget enforces the detector suite's cost
-// envelope on the daemon's path: a memsim trace through
-// MonitorSet.AddColumns in 256-sample units costs a two-detector set
-// (holder+entropy) at most 2.5x what it costs holder alone, as the
-// median paired ratio (see overheadRatio). Like the other budgets it
-// runs in isolation via `make bench-smoke` (AGINGMF_DETECT_BUDGET=1).
+// monitorSetComposeBudget bounds TestMonitorSetOverheadBudget's ratio.
+const monitorSetComposeBudget = 1.15
+
+// TestMonitorSetOverheadBudget enforces the detector set's composition
+// cost on the daemon's path: a memsim trace through MonitorSet.AddColumns
+// in 256-sample units costs a two-detector set (holder+entropy) at most
+// monitorSetComposeBudget times what a holder-only set and an
+// entropy-only set cost run one after the other, as the median paired
+// ratio (see overheadRatio). That ratio is the set's own overhead —
+// fan-out, the stats hand-off and the event merge — and does not move
+// when one detector gets faster, as holder+entropy against holder alone
+// does (logged for reference). Like the other budgets it runs in
+// isolation via `make bench-smoke` (AGINGMF_DETECT_BUDGET=1).
 func TestMonitorSetOverheadBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("timing assertion is meaningless under the race detector")
@@ -289,15 +273,23 @@ func TestMonitorSetOverheadBudget(t *testing.T) {
 	for i, p := range trace {
 		free[i], swap[i] = p[0], p[1]
 	}
-	setOverheadRun(t, free, swap, unit, detect.KindHolder, detect.KindEntropy) // warm up
-	ratio := overheadRatio(budgetPairs,
-		func() time.Duration { return setOverheadRun(t, free, swap, unit, detect.KindHolder) },
-		func() time.Duration {
-			return setOverheadRun(t, free, swap, unit, detect.KindHolder, detect.KindEntropy)
-		})
-	t.Logf("%d samples in %d-sample units: holder+entropy/holder median paired ratio %.3f", len(free), unit, ratio)
-	if ratio > 2.5 {
-		t.Fatalf("two-detector set costs %.2fx the single-detector baseline, budget is 2.5x", ratio)
+	run := func(kinds ...string) func() time.Duration {
+		return func() time.Duration { return setOverheadRun(t, free, swap, unit, kinds...) }
+	}
+	holder, entropy := run(detect.KindHolder), run(detect.KindEntropy)
+	both := run(detect.KindHolder, detect.KindEntropy)
+	both() // warm up
+	separate := func() time.Duration {
+		d := holder()
+		runtime.GC()
+		return d + entropy()
+	}
+	ratio := overheadRatio(budgetPairs, separate, both)
+	t.Logf("%d samples in %d-sample units: holder+entropy/(holder then entropy) median paired ratio %.3f (budget %.2f)",
+		len(free), unit, ratio, monitorSetComposeBudget)
+	t.Logf("holder+entropy/holder median paired ratio %.3f (not gated)", overheadRatio(budgetPairs, holder, both))
+	if ratio > monitorSetComposeBudget {
+		t.Fatalf("two-detector set costs %.2fx its detectors run separately, budget is %.2fx", ratio, monitorSetComposeBudget)
 	}
 }
 

@@ -5,22 +5,33 @@ import (
 	"math"
 )
 
-// OscillationEstimator is the first pipeline stage: it consumes one raw
-// counter sample per Push and emits the pointwise Hölder exponent of the
-// stream, estimated by regressing log window oscillation on log radius
-// over a ladder of window radii. The estimate at center t needs samples
-// up to t+maxR, so output lags input by Lag() = max(radii) samples.
+// OscillationEstimator is the first pipeline stage: it consumes raw
+// counter samples and emits the pointwise Hölder exponent of the stream,
+// estimated by regressing log window oscillation on log radius over a
+// ladder of window radii. The estimate at center t needs samples up to
+// t+maxR, so output lags input by Lag() = max(radii) samples.
 //
-// The stage owns one sliding-extrema tracker per radius and a reusable
-// regression scratch; consumed oscillations are trimmed eagerly, so
-// steady-state Push allocates nothing and memory stays O(sum of radii)
-// regardless of stream length.
+// The stage owns one sliding-extrema tracker per radius — monotonic
+// deques plus the oscillations of the centers not yet emitted — and a
+// reusable regression scratch; consumed oscillations are trimmed
+// eagerly, so steady-state Push allocates nothing and memory stays
+// O(sum of radii) regardless of stream length. Push and short batches
+// advance the deques sample by sample; PushColumns runs longer batches
+// through the doubling-ladder kernel (ladder.go), which builds every
+// rung's window extrema from the rung below and leaves the trackers in
+// the same state.
 type OscillationEstimator struct {
 	radii []int
 	logR  []float64
 	maxR  int
 	seen  int // total samples consumed (indices are absolute)
 	trk   []*slidingExtrema
+
+	// The batch kernel's rung chain (see ladderPlan): colOf maps each
+	// ladder position to its oscillation column, colLead each column to
+	// the first ladder position with that radius.
+	plan           []ladderRung
+	colOf, colLead []int
 
 	// The regressor x-axis (log radii) is fixed for the life of the
 	// stage, so its mean and centered sum of squares are computed once;
@@ -42,24 +53,12 @@ type OscillationEstimator struct {
 	memoAlpha float64
 	memoOK    bool
 
-	// rawTail retains the most recent raw samples (up to tailCap =
-	// 4*maxR+2) so PushColumns can hand each tracker a contiguous view
-	// spanning the batch plus enough history for block processing
-	// (pushRangeBlocks needs the block before the first completed
-	// window). Derived state: it is never persisted, and after a restore
-	// the trackers fall back to sample-by-sample pushes until the tail
-	// has refilled.
-	rawTail    []float64
-	tailCap    int
-	rawScratch []float64
-
-	// Per-batch emission scratch: alphaMemoCols caches each tracker's osc
-	// slice header and base here so the per-center loop indexes flat
-	// arrays instead of chasing tracker pointers, and marks the centers
-	// where any rung's oscillation changed in emitChanged. Derived state.
-	emitOsc     [][]float64
-	emitBase    []int
-	emitChanged []uint8
+	// rawTail retains at least the most recent tailCap = 2*maxR raw
+	// samples: the history the ladder kernel's first emitted center reads.
+	// Derived state: it is never persisted, and after a restore
+	// PushColumns falls back to the deques until the tail has refilled.
+	rawTail []float64
+	tailCap int
 }
 
 // NewOscillationEstimator creates an estimator over the given radius
@@ -94,12 +93,13 @@ func NewOscillationEstimator(radii []int) (*OscillationEstimator, error) {
 		dx := lr - e.logRMean
 		e.sxx += dx * dx
 	}
+	e.plan, e.colOf, e.colLead = ladderPlan(e.radii)
 	e.memoOsc = make([]float64, len(e.radii))
 	e.memoLog = make([]float64, len(e.radii))
 	for i := range e.memoOsc {
 		e.memoOsc[i] = -1 // oscillations are >= 0, so no vector matches yet
 	}
-	e.tailCap = 4*e.maxR + 2 // ≥ 2w for every rung's window w = 2r+1
+	e.tailCap = 2 * e.maxR
 	e.rawTail = make([]float64, 0, 2*e.tailCap)
 	return e, nil
 }
@@ -118,7 +118,7 @@ func (e *OscillationEstimator) Seen() int { return e.seen }
 func (e *OscillationEstimator) Push(x float64) (float64, bool) {
 	idx := e.seen
 	e.seen++
-	e.pushTail(x)
+	e.appendTail([]float64{x})
 	for _, tr := range e.trk {
 		tr.push(idx, x)
 	}
@@ -140,160 +140,96 @@ func (e *OscillationEstimator) Push(x float64) (float64, bool) {
 // Hölder estimates it completes to out, returning the extended slice.
 // It is the batch-first form of Push — the state after PushColumns(xs)
 // is byte-identical to len(xs) calls of Push (asserted by the parity
-// tests) — restructured for throughput:
-//
-//   - trackers consume the column rung-major (pushRange), keeping each
-//     deque's cursors in registers across the batch;
-//   - consumed oscillations are trimmed once at the end of the batch
-//     instead of once per sample, turning n copy-downs into one (the
-//     final osc/oscBase are the same either way);
-//   - the log-oscillation regression is memoized on the exact
-//     oscillation vector, so runs of unchanged window extrema — the
-//     common case for real, quantized memory counters — skip the
-//     math.Log calls entirely.
+// tests). A batch at least one top-rung window long (2*maxR+1 samples)
+// whose raw history is retained runs the doubling-ladder kernel
+// (pushLadder). Shorter batches, and the first batch after a restore,
+// advance the deques rung-major (pushRange) and emit through the memo
+// center by center; both paths trim once per batch, and memoize the
+// regression on the exact oscillation vector, so runs of unchanged
+// window extrema — common on quantized memory counters — skip the
+// math.Log calls entirely.
 func (e *OscillationEstimator) PushColumns(xs []float64, out []float64) []float64 {
 	if len(xs) == 0 {
 		return out
 	}
 	idx0 := e.seen
-	// Contiguous raw view [a0, idx0+len(xs)): retained tail + this batch.
-	a0 := idx0 - len(e.rawTail)
-	need := len(e.rawTail) + len(xs)
-	if cap(e.rawScratch) < need {
-		e.rawScratch = make([]float64, 0, need+e.tailCap)
-	}
-	a := append(append(e.rawScratch[:0], e.rawTail...), xs...)
-	e.rawScratch = a[:0]
-	for _, tr := range e.trk {
-		if tr.vanHerkReady(a0, idx0, len(xs)) {
-			tr.pushRangeBlocks(a, a0, idx0, len(xs))
-		} else {
-			tr.pushRange(idx0, xs)
-		}
-	}
-	keep := len(a)
-	if keep > e.tailCap {
-		keep = e.tailCap
-	}
-	e.rawTail = append(e.rawTail[:0], a[len(a)-keep:]...)
-	e.seen += len(xs)
 	// Same emission rule as Push: sample n-1 completes center t = n-1-maxR,
 	// which is evaluated once t >= maxR.
-	tEnd := e.seen - 1 - e.maxR
-	tStart := idx0 - e.maxR
-	if tStart < e.maxR {
-		tStart = e.maxR
+	tEnd := idx0 + len(xs) - 1 - e.maxR
+	tStart := max(idx0-e.maxR, e.maxR)
+	if len(xs) > 2*e.maxR && idx0-len(e.rawTail) <= tStart-e.maxR {
+		return e.pushLadder(xs, tStart, tEnd, out)
 	}
+	for _, tr := range e.trk {
+		tr.pushRange(idx0, xs)
+	}
+	e.appendTail(xs)
+	e.seen += len(xs)
 	if tEnd < tStart {
 		return out
 	}
-	out = e.alphaMemoCols(tStart, tEnd, out)
+	for t := tStart; t <= tEnd; t++ {
+		out = append(out, e.alphaMemo(t))
+	}
 	for _, tr := range e.trk {
 		tr.trim(tEnd + 1)
 	}
 	return out
 }
 
-// alphaMemoCols appends alphaMemo(t) for every center in [tStart, tEnd]
-// to out. It is the emission loop of PushColumns restructured around the
-// memo's observation — the alpha changes only at centers where some
-// rung's oscillation changes — in two passes: each rung's oscillation
-// column is scanned sequentially once, flagging change centers, and the
-// emission loop then replays the memoized alpha between flags and
-// recomputes only at them (reloading every rung there, which is exactly
-// the vector the per-center memo comparison would have seen). The
-// recompute points, memo updates and arithmetic match alphaMemo
-// step-for-step, so the emitted values — and the memo state left behind
-// — are bit-identical.
-func (e *OscillationEstimator) alphaMemoCols(tStart, tEnd int, out []float64) []float64 {
-	oscs := e.emitOsc[:0]
-	bases := e.emitBase[:0]
-	for _, tr := range e.trk {
-		oscs = append(oscs, tr.osc)
-		bases = append(bases, tr.oscBase)
-	}
-	e.emitOsc, e.emitBase = oscs[:0], bases[:0]
-	nT := tEnd - tStart + 1
-	if cap(e.emitChanged) < nT {
-		e.emitChanged = make([]uint8, nT+nT/4)
-	}
-	changed := e.emitChanged[:nT]
-	for i := range changed {
-		changed[i] = 0
-	}
-	if !e.memoOK {
-		changed[0] = 1
-	}
-	memoOsc, memoLog := e.memoOsc, e.memoLog
-	for i := range oscs {
-		col := oscs[i][tStart-bases[i] : tEnd+1-bases[i]]
-		prev := memoOsc[i]
-		for t, v := range col {
-			if v != prev {
-				changed[t] = 1
-				prev = v
-			}
-		}
-	}
-	alpha := e.memoAlpha
-	for t, ch := range changed {
-		if ch != 0 {
-			for i := range oscs {
-				osc := oscs[i][tStart+t-bases[i]]
-				if osc != memoOsc[i] {
-					memoOsc[i] = osc
-					if osc > 0 {
-						memoLog[i] = math.Log(osc)
-					}
-				}
-			}
-			alpha = e.memoSlope()
-		}
-		out = append(out, alpha)
-	}
-	return out
-}
-
 // memoSlope recomputes the regression slope from the memoized
 // oscillation vector and re-arms the memo. Shared tail of alphaMemo and
-// alphaMemoCols.
+// emitColumns.
 func (e *OscillationEstimator) memoSlope() float64 {
-	alpha := 1.0 // locally constant / degenerate ladder: maximally smooth
-	if e.sxx != 0 {
-		ok := true
-		for _, osc := range e.memoOsc {
-			if osc <= 0 {
-				ok = false
-				break
-			}
+	alpha := 1.0 // locally constant: maximally smooth
+	ok := true
+	for _, osc := range e.memoOsc {
+		if osc <= 0 {
+			ok = false
+			break
 		}
-		if ok {
-			sum := 0.0
-			for _, y := range e.memoLog {
-				sum += y
-			}
-			my := sum / float64(len(e.memoLog))
-			var sxy float64
-			for i, y := range e.memoLog {
-				sxy += (e.logR[i] - e.logRMean) * (y - my)
-			}
-			alpha = ClampAlpha(sxy / e.sxx)
-		}
+	}
+	if ok {
+		alpha = e.slope(e.memoLog)
 	}
 	e.memoAlpha = alpha
 	e.memoOK = true
 	return alpha
 }
 
-// pushTail appends x to the raw-sample tail, keeping at least tailCap
-// history with amortized O(1) copy-down (the backing array holds twice
-// the cap).
-func (e *OscillationEstimator) pushTail(x float64) {
-	if len(e.rawTail) == cap(e.rawTail) {
-		n := copy(e.rawTail, e.rawTail[len(e.rawTail)-e.tailCap:])
-		e.rawTail = e.rawTail[:n]
+// slope regresses the log oscillations ys (one per ladder position, all
+// from positive oscillations) on the log radii. Only the y mean and the
+// cross term are data-dependent; the per-iteration arithmetic matches
+// stats.OLS exactly, so every caller gets the full regression's bits.
+func (e *OscillationEstimator) slope(ys []float64) float64 {
+	if e.sxx == 0 {
+		return 1 // degenerate ladder of identical radii
 	}
-	e.rawTail = append(e.rawTail, x)
+	sum := 0.0
+	for _, y := range ys {
+		sum += y
+	}
+	my := sum / float64(len(ys))
+	var sxy float64
+	for i, y := range ys {
+		sxy += (e.logR[i] - e.logRMean) * (y - my)
+	}
+	return ClampAlpha(sxy / e.sxx)
+}
+
+// appendTail appends xs to the raw-sample tail, keeping at least the
+// last tailCap samples with amortized O(1) copy-down per sample (the
+// backing array holds twice the cap).
+func (e *OscillationEstimator) appendTail(xs []float64) {
+	if len(e.rawTail)+len(xs) > cap(e.rawTail) {
+		keep := min(max(e.tailCap-len(xs), 0), len(e.rawTail))
+		n := copy(e.rawTail, e.rawTail[len(e.rawTail)-keep:])
+		e.rawTail = e.rawTail[:n]
+		if len(xs) > e.tailCap {
+			xs = xs[len(xs)-e.tailCap:]
+		}
+	}
+	e.rawTail = append(e.rawTail, xs...)
 }
 
 // alphaMemo is alphaAt with the pure-function memo described on the
@@ -318,8 +254,7 @@ func (e *OscillationEstimator) alphaMemo(t int) float64 {
 
 // alphaAt computes the oscillation Hölder exponent at raw index t from
 // the incrementally maintained window extrema. It is FitAlpha with the
-// x-axis statistics hoisted out: only the y mean and the cross term are
-// data-dependent, and the slope is all the caller needs.
+// x-axis statistics hoisted out (see slope).
 func (e *OscillationEstimator) alphaAt(t int) float64 {
 	logO := e.scratchO[:0]
 	for _, tr := range e.trk {
@@ -329,19 +264,7 @@ func (e *OscillationEstimator) alphaAt(t int) float64 {
 		}
 		logO = append(logO, math.Log(osc))
 	}
-	if e.sxx == 0 {
-		return 1 // degenerate ladder of identical radii
-	}
-	sum := 0.0
-	for _, y := range logO {
-		sum += y
-	}
-	my := sum / float64(len(logO))
-	var sxy float64
-	for i, y := range logO {
-		sxy += (e.logR[i] - e.logRMean) * (y - my)
-	}
-	return ClampAlpha(sxy / e.sxx)
+	return e.slope(logO)
 }
 
 // OscillationEstimatorState is the persistable state of the stage.

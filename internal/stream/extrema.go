@@ -52,13 +52,16 @@ func (d *deque) popFront() {
 	d.n--
 }
 
-// slidingExtrema incrementally tracks max-min over centered windows of
-// one radius of the raw sample stream, using monotonic ring deques:
-// amortized O(1) per sample and zero steady-state allocations. The
-// oscillation for center c becomes available once sample c+r has been
-// consumed. Entries are self-contained (index + value), so the tracker
-// needs no access to the raw history and supports bounded-memory
-// operation via trim.
+// slidingExtrema is the per-radius state of the oscillation estimator:
+// the monotonic ring deques over the latest window of one radius (the
+// strict suffix maxima and minima, amortized O(1) per sample and zero
+// steady-state allocations) and the oscillations of the centers not yet
+// emitted. The oscillation for center c becomes available once sample
+// c+r has been consumed. Entries are self-contained (index + value), so
+// per-sample pushes need no raw history and memory stays bounded via
+// trim. The batch kernel (pushLadder) computes oscillations without the
+// deques and rebuilds them afterwards (rebuild), so both paths leave the
+// same state.
 type slidingExtrema struct {
 	r, w int
 	maxD deque // values decreasing
@@ -66,10 +69,6 @@ type slidingExtrema struct {
 	osc  []float64
 	// oscBase is the center index of osc[0].
 	oscBase int
-	// sufMax/sufMin and prefMax/prefMin are pushRangeBlocks' per-block
-	// suffix and prefix scratch; derived state, never persisted.
-	sufMax, sufMin   []float64
-	prefMax, prefMin []float64
 }
 
 func newSlidingExtrema(r int) *slidingExtrema {
@@ -188,124 +187,15 @@ func (s *slidingExtrema) pushRange(idx0 int, xs []float64) {
 	s.osc = osc
 }
 
-// pushRangeBlocks is the batch form of push for runs long enough to
-// amortize block processing: it computes the same oscillations with the
-// van Herk–Gil-Werman two-pass scheme — running prefix extrema within
-// w-aligned blocks plus per-block suffix extrema, ~4 comparisons per
-// sample regardless of radius — instead of maintaining the monotonic
-// deques sample by sample.
-//
-// a is a contiguous raw view covering absolute indices [a0, idx0+m);
-// xs[0..m) lives at a[idx0-a0..]. The caller must provide history back
-// to the start of the block preceding the first completed window
-// (vanHerkReady). The oscillation of a window is its true max minus its
-// true min — unique values independent of the algorithm — so the osc
-// slice ends bit-identical to repeated push; the deques, which only
-// matter for snapshots and for resuming sample-by-sample, are
-// reconstructed afterwards from the final window's raw samples, whose
-// monotone chains are exactly what repeated push would have left
-// (asserted by the columnar parity tests).
-func (s *slidingExtrema) pushRangeBlocks(a []float64, a0, idx0, m int) {
-	w := s.w
-	end := idx0 + m - 1
-	e := idx0
-	if e < w-1 {
-		e = w - 1
-	}
-	if cap(s.sufMax) < w {
-		s.sufMax = make([]float64, w)
-		s.sufMin = make([]float64, w)
-		s.prefMax = make([]float64, w)
-		s.prefMin = make([]float64, w)
-	}
-	sufMax, sufMin := s.sufMax[:w], s.sufMin[:w]
-	prefMax, prefMin := s.prefMax[:w], s.prefMin[:w]
-	// One oscillation per e in [e, end]: pre-extend osc once so the
-	// emission loop stores by index instead of appending per element.
-	osc := s.osc
-	k := len(osc)
-	if need := k + end - e + 1; cap(osc) < need {
-		grown := make([]float64, k, need+need/4)
-		copy(grown, osc)
-		osc = grown
-	}
-	osc = osc[:k+end-e+1]
-	for e <= end {
-		bs := e / w * w // current block [bs, bs+w-1]
-		pb := bs - w    // previous block [pb, bs-1]
-		// Suffix extrema of the previous block: sufMax[q] = max blk[q..w-1].
-		blk := a[pb-a0 : bs-a0] // len w: lets the compiler drop bounds checks
-		v := blk[w-1]
-		mx, mn := v, v
-		sufMax[w-1], sufMin[w-1] = v, v
-		for j := w - 2; j >= 0; j-- {
-			v = blk[j]
-			if v > mx {
-				mx = v
-			}
-			if v < mn {
-				mn = v
-			}
-			sufMax[j], sufMin[j] = mx, mn
-		}
-		// Running prefix extrema over [bs, e-1] (empty when e opens the block).
-		rMax, rMin := math.Inf(-1), math.Inf(1)
-		for j := bs; j < e; j++ {
-			v = a[j-a0]
-			if v > rMax {
-				rMax = v
-			}
-			if v < rMin {
-				rMin = v
-			}
-		}
-		stop := bs + w - 1
-		if stop > end {
-			stop = end
-		}
-		// Two passes over [e, stop]: the serial prefix scan (loop-carried
-		// running extrema) writes prefMax/prefMin, then the combine pass —
-		// independent per element, so it pipelines — merges each window's
-		// previous-block suffix with its prefix. Window [e-w+1, e] =
-		// suffix of the previous block + prefix [bs, e]; q == w means the
-		// window is exactly the current block.
-		pe := 0
-		for _, x := range a[e-a0 : stop+1-a0] {
-			if x > rMax {
-				rMax = x
-			}
-			if x < rMin {
-				rMin = x
-			}
-			prefMax[pe], prefMin[pe] = rMax, rMin
-			pe++
-		}
-		q := e - w + 1 - pb
-		for j := 0; j < pe; j++ {
-			mx, mn = prefMax[j], prefMin[j]
-			if q < w {
-				if sv := sufMax[q]; sv > mx {
-					mx = sv
-				}
-				if sv := sufMin[q]; sv < mn {
-					mn = sv
-				}
-			}
-			q++
-			osc[k] = mx - mn
-			k++
-		}
-		e = stop + 1
-	}
-	s.osc = osc[:k]
-	// Rebuild the monotonic deques for the window ending at `end`: scan
-	// newest to oldest keeping strict improvements — the newest of equal
-	// values survives, exactly as push's `<=`/`>=` back-pops leave it.
+// rebuild resets the deques to the window ending at absolute index end,
+// read from the raw view a (a[0] is absolute index a0): scanning newest
+// to oldest and keeping strict improvements leaves the newest of equal
+// values, exactly the chains repeated push's `<=`/`>=` back-pops leave.
+func (s *slidingExtrema) rebuild(a []float64, a0, end int) {
 	mb, nb := s.maxD.buf, s.minD.buf
 	mp, np := len(mb), len(nb)
 	curMax, curMin := math.Inf(-1), math.Inf(1)
-	lo := end - w + 1
-	for j := end; j >= lo; j-- {
+	for j := end; j > end-s.w; j-- {
 		v := a[j-a0]
 		if v > curMax {
 			mp--
@@ -320,20 +210,6 @@ func (s *slidingExtrema) pushRangeBlocks(a []float64, a0, idx0, m int) {
 	}
 	s.maxD.head, s.maxD.n = mp, len(mb)-mp
 	s.minD.head, s.minD.n = np, len(nb)-np
-}
-
-// vanHerkReady reports whether a batch of m samples starting at absolute
-// index idx0, with contiguous raw history back to a0, can run
-// pushRangeBlocks: the batch must be long enough to amortize the block
-// passes, at least one window must complete, and the history must reach
-// the block preceding the first completed window's start.
-func (s *slidingExtrema) vanHerkReady(a0, idx0, m int) bool {
-	w := s.w
-	e := idx0
-	if e < w-1 {
-		e = w - 1
-	}
-	return m >= w && idx0+m-1 >= e && e/w*w-w >= a0
 }
 
 // trim discards oscillations for centers below minCenter, bounding the

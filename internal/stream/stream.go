@@ -12,8 +12,8 @@
 //
 //	  - OscillationEstimator turns the raw counter stream into the local
 //	    Hölder exponent trajectory (log-log regression of window
-//	    oscillation against a ladder of radii, maintained with monotonic
-//	    ring deques).
+//	    oscillation against a ladder of radii: monotonic ring deques per
+//	    sample, a doubling-ladder extrema kernel per column batch).
 //	  - VolatilityWindow tracks the moving standard deviation of that
 //	    trajectory — the paper's "Hölder volatility".
 //	  - Standardizer z-scores the volatility against a warmup baseline for
