@@ -6,7 +6,6 @@ import (
 
 	"agingmf/internal/aging"
 	"agingmf/internal/changepoint"
-	"agingmf/internal/chaos"
 	"agingmf/internal/cluster"
 	"agingmf/internal/collector"
 	"agingmf/internal/control"
@@ -21,10 +20,7 @@ import (
 	"agingmf/internal/obs"
 	"agingmf/internal/rejuv"
 	"agingmf/internal/resilience"
-	apprt "agingmf/internal/runtime"
 	"agingmf/internal/series"
-	"agingmf/internal/source"
-	"agingmf/internal/stats"
 	"agingmf/internal/trace"
 	"agingmf/internal/workload"
 )
@@ -65,16 +61,11 @@ type (
 	DetectorKind = aging.DetectorKind
 )
 
-// Aging phases.
-const (
-	PhaseHealthy       = aging.PhaseHealthy
-	PhaseAgingOnset    = aging.PhaseAgingOnset
-	PhaseCrashImminent = aging.PhaseCrashImminent
-)
+// PhaseHealthy is the aging phase before any volatility jump.
+const PhaseHealthy = aging.PhaseHealthy
 
 // Jump detectors.
 const (
-	DetectShewhart    = aging.DetectShewhart
 	DetectCUSUM       = aging.DetectCUSUM
 	DetectPageHinkley = aging.DetectPageHinkley
 	DetectEWMA        = aging.DetectEWMA
@@ -111,12 +102,6 @@ type (
 	Prediction = aging.Prediction
 )
 
-// Instrumented counters.
-const (
-	CounterFreeMemory = aging.CounterFreeMemory
-	CounterUsedSwap   = aging.CounterUsedSwap
-)
-
 // Dual-monitor and predictor constructors.
 var (
 	NewDualMonitor         = aging.NewDualMonitor
@@ -133,25 +118,16 @@ type (
 	TrendConfig = aging.TrendConfig
 	// TrendWarning is an exhaustion warning.
 	TrendWarning = aging.TrendWarning
-	// HurstDetector monitors a windowed Hurst exponent.
-	HurstDetector = aging.HurstDetector
-	// HurstConfig parameterizes the Hurst baseline.
-	HurstConfig = aging.HurstConfig
 )
 
 // Baseline constructors.
 var (
 	NewTrendDetector   = aging.NewTrendDetector
 	DefaultTrendConfig = aging.DefaultTrendConfig
-	NewHurstDetector   = aging.NewHurstDetector
-	DefaultHurstConfig = aging.DefaultHurstConfig
 )
 
-// Pointwise Hölder estimation.
-type (
-	// HolderConfig parameterizes the oscillation estimator.
-	HolderConfig = holder.Config
-)
+// HolderConfig parameterizes the pointwise Hölder oscillation estimator.
+type HolderConfig = holder.Config
 
 // Hölder estimator functions.
 var (
@@ -162,48 +138,22 @@ var (
 	WaveletLeaderTrajectory = holder.WaveletLeader
 	// DefaultHolderConfig returns the standard radius ladder.
 	DefaultHolderConfig = holder.DefaultConfig
-	// MeanHolderExponent averages a trajectory, skipping non-finite values.
-	MeanHolderExponent = holder.MeanExponent
 	// HistogramSpectrum estimates f(alpha) by the direct histogram method.
 	HistogramSpectrum = holder.HistogramSpectrum
 	// ModalAlpha returns the spectrum's peak location.
 	ModalAlpha = holder.ModalAlpha
 )
 
-// Statistical utilities shared by the analyses.
-type (
-	// LinearFit is a fitted line.
-	LinearFit = stats.LinearFit
-	// MannKendallResult reports the Mann–Kendall trend test.
-	MannKendallResult = stats.MannKendallResult
-	// LjungBoxResult reports the Ljung–Box autocorrelation test.
-	LjungBoxResult = stats.LjungBoxResult
-)
-
-// Statistical functions.
-var (
-	OLS              = stats.OLS
-	TheilSen         = stats.TheilSen
-	MannKendall      = stats.MannKendall
-	Pearson          = stats.Pearson
-	CrossCorrelation = stats.CrossCorrelation
-	LjungBox         = stats.LjungBox
-)
-
-// Global (monofractal) estimators.
-type (
-	// HurstEstimate is a Hurst-exponent estimation result.
-	HurstEstimate = fractal.HurstEstimate
-)
+// HurstEstimate is a global (monofractal) Hurst-exponent estimation
+// result.
+type HurstEstimate = fractal.HurstEstimate
 
 // Hurst estimator functions.
 var (
-	HurstRS           = fractal.HurstRS
-	HurstAggVar       = fractal.HurstAggVar
-	DFA               = fractal.DFA
-	BoxCountDimension = fractal.BoxCountDimension
-	Higuchi           = fractal.Higuchi
-	HurstPeriodogram  = fractal.HurstPeriodogram
+	HurstRS          = fractal.HurstRS
+	DFA              = fractal.DFA
+	Higuchi          = fractal.Higuchi
+	HurstPeriodogram = fractal.HurstPeriodogram
 )
 
 // Multifractal analysis.
@@ -218,52 +168,30 @@ type (
 
 // Multifractal functions.
 var (
-	MFDFA                 = multifractal.MFDFA
-	DefaultMFDFAConfig    = multifractal.DefaultConfig
-	PartitionFunction     = multifractal.PartitionFunction
-	StructureFunction     = multifractal.StructureFunction
-	ZetaConcavity         = multifractal.ZetaConcavity
-	GeneralizedDimensions = multifractal.GeneralizedDimensions
-	WaveletLeadersMF      = multifractal.WaveletLeaders
+	MFDFA              = multifractal.MFDFA
+	DefaultMFDFAConfig = multifractal.DefaultConfig
+	StructureFunction  = multifractal.StructureFunction
+	ZetaConcavity      = multifractal.ZetaConcavity
+	WaveletLeadersMF   = multifractal.WaveletLeaders
 )
 
-// Change detection.
-type (
-	// ChangeDetector is an online change detector.
-	ChangeDetector = changepoint.Detector
-	// ChangeAlarm is a detected change.
-	ChangeAlarm = changepoint.Alarm
-)
+// ChangeAlarm is a change detected by an online chart such as
+// NewEWMAChart's.
+type ChangeAlarm = changepoint.Alarm
 
-// Change detector constructors.
-var (
-	NewShewhart    = changepoint.NewShewhart
-	NewCUSUM       = changepoint.NewCUSUM
-	NewPageHinkley = changepoint.NewPageHinkley
-	NewEWMAChart   = changepoint.NewEWMAChart
-	ScanChanges    = changepoint.Scan
-)
+// NewEWMAChart builds an online EWMA change chart.
+var NewEWMAChart = changepoint.NewEWMAChart
 
-// Signal-processing helpers.
-var (
-	// FFTReal transforms a real signal to its complex spectrum.
-	FFTReal = dsp.FFTReal
-	// PowerSpectrum returns the one-sided periodogram.
-	PowerSpectrum = dsp.PowerSpectrum
-	// WelchPSD returns the variance-reduced Welch spectral estimate.
-	WelchPSD = dsp.WelchPSD
-)
+// WelchPSD returns the variance-reduced Welch spectral estimate.
+var WelchPSD = dsp.WelchPSD
 
 // Synthetic signal generators (estimator validation and workloads).
 var (
 	FBM                   = gen.FBM
 	FGNHosking            = gen.FGNHosking
 	FGNDaviesHarte        = gen.FGNDaviesHarte
-	Weierstrass           = gen.Weierstrass
-	BinomialCascade       = gen.BinomialCascade
 	LognormalCascadeNoise = gen.LognormalCascadeNoise
 	Shuffle               = gen.Shuffle
-	PhaseRandomize        = gen.PhaseRandomize
 )
 
 // Simulated machine substrate.
@@ -282,12 +210,8 @@ type (
 	CrashKind = memsim.CrashKind
 )
 
-// Machine crash kinds.
-const (
-	CrashNone   = memsim.CrashNone
-	CrashOOM    = memsim.CrashOOM
-	CrashThrash = memsim.CrashThrash
-)
+// CrashNone is the crash kind of a machine that has not failed.
+const CrashNone = memsim.CrashNone
 
 // Machine constructors.
 var (
@@ -309,7 +233,6 @@ type (
 var (
 	NewDriver          = workload.NewDriver
 	DefaultWorkload    = workload.DefaultDriverConfig
-	NewOnOffSource     = workload.NewOnOffSource
 	NewAggregateSource = workload.NewAggregateSource
 	NewCascadeSource   = workload.NewCascadeSource
 	NewReplaySource    = workload.NewReplaySource
@@ -338,140 +261,49 @@ type (
 // from the completed seeds.
 var (
 	Collect        = collector.Collect
-	CollectContext = collector.CollectContext
 	DefaultCollect = collector.DefaultConfig
 	RunFleet       = collector.RunFleet
-	// ReadFleetCheckpoint loads one seed's checkpointed run (the boolean
-	// reports whether a checkpoint exists).
-	ReadFleetCheckpoint = collector.ReadCheckpoint
-	// WriteFleetCheckpoint persists one completed run atomically.
-	WriteFleetCheckpoint = collector.WriteCheckpoint
-	// FleetCheckpointPath names the checkpoint file of one seed.
-	FleetCheckpointPath = collector.CheckpointPath
 )
 
-// Resilience: bounded retries, stall watchdogs and panic recovery — the
-// fault-tolerance toolkit threaded through the collection pipeline (see
-// internal/resilience). Everything is nil-safe: a zero ResilienceMetrics
-// is a valid no-op instrument set and a nil *Watchdog ignores all calls.
+// Resilience: retry shapes and stall watchdogs (see internal/resilience).
+// Everything is nil-safe: a zero ResilienceMetrics is a valid no-op
+// instrument set and a nil *Watchdog ignores all calls.
 type (
-	// RetryConfig shapes a Retry call (attempts, backoff, jitter).
+	// RetryConfig shapes a bounded retry (attempts, backoff, jitter).
 	RetryConfig = resilience.RetryConfig
 	// ResilienceMetrics bundles the retry/watchdog/panic instruments.
 	ResilienceMetrics = resilience.Metrics
 	// Watchdog fires when no sample arrives within a deadline.
 	Watchdog = resilience.Watchdog
-	// PanicError is a panic converted to an error by RecoverPanic.
-	PanicError = resilience.PanicError
 )
 
 // Resilience functions.
 var (
-	// Retry runs a function with bounded attempts and exponential backoff.
-	Retry = resilience.Retry
-	// TransientError marks an error as retryable.
-	TransientError = resilience.Transient
-	// IsTransientError reports whether an error carries the retryable mark.
-	IsTransientError = resilience.IsTransient
-	// RecoverPanic runs a function, converting a panic into a *PanicError.
-	RecoverPanic = resilience.Recover
 	// NewWatchdog arms a stall watchdog (non-positive timeout disables).
 	NewWatchdog = resilience.NewWatchdog
 	// NewResilienceMetrics registers the resilience families on a registry.
 	NewResilienceMetrics = resilience.NewMetrics
 )
 
-// Chaos validation: fault-injection campaigns over the full
-// simulate→sample→detect pipeline. A chaos run corrupts and drops
-// samples, stalls the stream, bursts leaks and fragmentation into the
-// machine, panics mid-pipeline and cancels mid-run — and verifies the
-// pipeline degrades gracefully instead of aborting.
-type (
-	// ChaosConfig parameterizes one chaos run.
-	ChaosConfig = chaos.Config
-	// ChaosFaults selects the injected faults.
-	ChaosFaults = chaos.Faults
-	// ChaosReport is the outcome of a chaos run.
-	ChaosReport = chaos.Report
-	// ChaosIngestConfig parameterizes an ingest chaos campaign: slow
-	// clients, mid-stream disconnects, malformed floods and alert-sink
-	// outages thrown at a real ingest.Server over loopback TCP.
-	ChaosIngestConfig = chaos.IngestConfig
-	// ChaosIngestFaults selects the ingest faults.
-	ChaosIngestFaults = chaos.IngestFaults
-	// ChaosIngestReport is the outcome of an ingest campaign.
-	ChaosIngestReport = chaos.IngestReport
-	// ChaosClusterConfig parameterizes a cluster chaos campaign:
-	// crash-kills without store sync, partitions and live migrations
-	// thrown at an in-process multi-node cluster under streaming load.
-	ChaosClusterConfig = chaos.ClusterConfig
-	// ChaosClusterFaults selects the cluster faults.
-	ChaosClusterFaults = chaos.ClusterFaults
-	// ChaosClusterReport is the outcome of a cluster campaign.
-	ChaosClusterReport = chaos.ClusterReport
-)
-
-// Chaos functions.
-var (
-	// RunChaos executes one seeded fault-injection run.
-	RunChaos = chaos.Run
-	// RunChaosCampaign executes one chaos run per seed.
-	RunChaosCampaign = chaos.RunCampaign
-	// RunChaosIngest executes one ingest chaos campaign against a live
-	// fleet daemon.
-	RunChaosIngest = chaos.RunIngest
-	// RunChaosCluster executes one cluster chaos campaign.
-	RunChaosCluster = chaos.RunCluster
-)
-
 // Pluggable detector suite (internal/detect): the per-source MonitorSet
 // the registry runs — N detectors side by side over one sample stream,
 // each with its own verdicts, alert labels and gob state.
 type (
-	// Detector is one pluggable aging detector (holder, entropy, adaptive).
-	Detector = detect.Detector
-	// DetectorSample is one (free, swap) observation fed to a detector.
-	DetectorSample = detect.Sample
-	// DetectorEvent is one detector verdict event (jump or recalibration).
-	DetectorEvent = detect.Event
-	// DetectorVerdict is the outcome of feeding one sample.
-	DetectorVerdict = detect.Verdict
 	// DetectorSuiteConfig parameterizes every detector in a MonitorSet.
 	DetectorSuiteConfig = detect.Config
 	// EntropyDetectorConfig parameterizes the sample-entropy detector.
 	EntropyDetectorConfig = detect.EntropyConfig
 	// AdaptiveDetectorConfig parameterizes the workload-adaptive detector.
 	AdaptiveDetectorConfig = detect.AdaptiveConfig
-	// MonitorSet runs N detectors per source over one sample stream.
-	MonitorSet = detect.MonitorSet
-	// MonitorSetDetectorStatus is one detector's externally visible state.
-	MonitorSetDetectorStatus = detect.DetectorStatus
 )
 
-// Detector kinds accepted by -detectors and NewMonitorSet.
-const (
-	DetectorHolder   = detect.KindHolder
-	DetectorEntropy  = detect.KindEntropy
-	DetectorAdaptive = detect.KindAdaptive
-)
-
-// Detector-suite functions.
-var (
-	// NewMonitorSet builds a detector suite from kind names.
-	NewMonitorSet = detect.New
-	// RestoreMonitorSet rebuilds a suite from a MonitorSet.SaveState blob
-	// (legacy DualMonitor blobs restore as a holder-only suite).
-	RestoreMonitorSet = detect.RestoreMonitorSet
-	// ParseDetectorKinds parses a comma-separated detector list ("" means
-	// holder only), rejecting unknown and duplicate names.
-	ParseDetectorKinds = detect.ParseKinds
-	// DefaultDetectorSuiteConfig returns the standard suite settings.
-	DefaultDetectorSuiteConfig = detect.DefaultConfig
-)
+// ParseDetectorKinds parses a comma-separated detector list ("" means
+// holder only), rejecting unknown and duplicate names.
+var ParseDetectorKinds = detect.ParseKinds
 
 // Fleet ingestion: the serving layer behind cmd/agingd. A sharded
 // registry routes "timestamp free swap" wire samples from many machines
-// into per-source DualMonitors (single-writer shards, no per-sample
+// into per-source detector sets (single-writer shards, no per-sample
 // locks), fans jump/phase/stall alerts out on a bus, and persists
 // snapshots so a restarted daemon resumes every source.
 type (
@@ -489,14 +321,6 @@ type (
 	IngestServer = ingest.Server
 	// IngestServerConfig parameterizes the daemon.
 	IngestServerConfig = ingest.ServerConfig
-	// IngestAlert is one fleet event (jump, phase change, stall, resume).
-	IngestAlert = ingest.Alert
-	// IngestAlertBus fans alerts out to subscribers.
-	IngestAlertBus = ingest.AlertBus
-	// IngestSubscription is one consumer's bounded alert queue.
-	IngestSubscription = ingest.Subscription
-	// IngestWebhookConfig parameterizes the webhook alert sink.
-	IngestWebhookConfig = ingest.WebhookConfig
 	// IngestSelfTestConfig parameterizes the end-to-end self-test.
 	IngestSelfTestConfig = ingest.SelfTestConfig
 	// IngestSelfTestReport is the self-test outcome.
@@ -510,18 +334,6 @@ type (
 	IngestBatch = ingest.Batch
 )
 
-// IngestBatchPrefix marks a batched wire line ("batch;...").
-const IngestBatchPrefix = ingest.BatchPrefix
-
-// Alert kinds published on the ingest alert bus.
-const (
-	IngestAlertJump        = ingest.AlertJump
-	IngestAlertRecalibrate = ingest.AlertRecalibrate
-	IngestAlertPhaseChange = ingest.AlertPhaseChange
-	IngestAlertStall       = ingest.AlertStall
-	IngestAlertResume      = ingest.AlertResume
-)
-
 // Ingestion functions.
 var (
 	// ParseIngestLine parses one wire line ("free,swap", "free swap",
@@ -531,12 +343,8 @@ var (
 	FormatIngestLine = ingest.FormatLine
 	// ParseIngestBatch parses one "batch;" wire line.
 	ParseIngestBatch = ingest.ParseBatch
-	// FormatIngestBatch renders a batch in canonical wire form.
-	FormatIngestBatch = ingest.FormatBatch
 	// IsIngestBatchLine reports whether a wire line is batch-framed.
 	IsIngestBatchLine = ingest.IsBatchLine
-	// NewIngestRegistry builds and starts a sharded registry.
-	NewIngestRegistry = ingest.NewRegistry
 	// NewIngestServer builds the daemon (call Start, then Shutdown).
 	NewIngestServer = ingest.NewServer
 	// RunIngestSelfTest drives simulated machines through a live server
@@ -546,22 +354,13 @@ var (
 	// live server at full rate and verifies zero loss, zero rejects and
 	// row-path parity, reporting sustained throughput.
 	RunBinaryIngestSelfTest = ingest.RunBinarySelfTest
-	// ReadIngestSnapshot loads a state snapshot into IngestConfig.Restore.
-	ReadIngestSnapshot = ingest.ReadSnapshot
-	// WriteIngestSnapshot atomically persists registry monitor states.
-	WriteIngestSnapshot = ingest.WriteSnapshot
-	// IngestJSONLSink drains an alert subscription into JSONL events.
-	IngestJSONLSink = ingest.JSONLSink
-	// IngestWebhookSink POSTs each alert to a webhook with retries.
-	IngestWebhookSink = ingest.WebhookSink
 )
 
 // Unified control plane (internal/control): the canonical fleet Alert,
 // the typed subscription bus every layer publishes verdicts on (ingest
 // detectors, cluster topology changes, the rejuvenation controller),
 // and the closed-loop Rejuvenator that turns those alerts into
-// policy-gated restarts. The ingest aliases above (IngestAlert,
-// IngestAlertBus, ...) are the same types — ingest re-exports control.
+// policy-gated restarts.
 type (
 	// Alert is the canonical control-plane event.
 	Alert = control.Alert
@@ -587,25 +386,14 @@ type (
 	ActuatorFunc = control.ActuatorFunc
 	// DryRunActuator logs each rejuvenation instead of executing it.
 	DryRunActuator = control.DryRunActuator
-	// PhasePolicy rejuvenates when the detector-reported phase crosses
-	// a trigger (fed from phase-change alerts, not raw counters).
-	PhasePolicy = control.PhasePolicy
 	// RejuvenationPolicyFactory builds one source's policy instance.
 	RejuvenationPolicyFactory = control.PolicyFactory
 )
 
 // Alert kinds published on the control bus.
 const (
-	AlertKindJump        = control.KindJump
-	AlertKindRecalibrate = control.KindRecalibrate
-	AlertKindPhaseChange = control.KindPhaseChange
-	AlertKindStall       = control.KindStall
-	AlertKindResume      = control.KindResume
-	AlertKindNodeUp      = control.KindNodeUp
-	AlertKindNodeDown    = control.KindNodeDown
-	AlertKindMigrated    = control.KindMigrated
-	AlertKindAdopted     = control.KindAdopted
-	AlertKindRejuvenate  = control.KindRejuvenate
+	AlertKindJump   = control.KindJump
+	AlertKindResume = control.KindResume
 )
 
 // Control-plane functions.
@@ -622,8 +410,6 @@ var (
 	// ParseRejuvenationPolicy parses a -rejuv-policy spec:
 	// "none", "periodic:<samples>" or "phase:<phase>[:<min-uptime>]".
 	ParseRejuvenationPolicy = control.ParsePolicy
-	// AlertFromDetectorEvent converts a detector verdict to an Alert.
-	AlertFromDetectorEvent = control.FromDetectEvent
 	// PhaseChangeAlert builds a phase-transition Alert.
 	PhaseChangeAlert = control.PhaseChange
 )
@@ -639,18 +425,12 @@ type (
 	ClusterNode = cluster.Node
 	// ClusterRing is the consistent-hash routing ring.
 	ClusterRing = cluster.Ring
-	// ClusterEnvelope is one source's migration payload.
-	ClusterEnvelope = cluster.Envelope
 	// ClusterTransport moves cluster traffic between nodes.
 	ClusterTransport = cluster.Transport
 	// ClusterHTTPTransport speaks the /cluster/* HTTP protocol.
 	ClusterHTTPTransport = cluster.HTTPTransport
-	// ClusterMemTransport is the in-process transport (tests, selftest).
-	ClusterMemTransport = cluster.MemTransport
 	// ClusterStateStore is the shared last-snapshot shelf for adoption.
 	ClusterStateStore = cluster.StateStore
-	// ClusterMemStore is the in-memory StateStore.
-	ClusterMemStore = cluster.MemStore
 	// ClusterStatus is the /api/cluster document.
 	ClusterStatus = cluster.Status
 	// ClusterMemberStatus is one member's health in ClusterStatus.
@@ -666,16 +446,6 @@ var (
 	// NewClusterNode builds a cluster member (call Start; Stop/Leave/Halt
 	// to end it).
 	NewClusterNode = cluster.NewNode
-	// NewClusterRing builds a consistent-hash ring over members.
-	NewClusterRing = cluster.NewRing
-	// NewClusterMemTransport builds the in-process transport.
-	NewClusterMemTransport = cluster.NewMemTransport
-	// NewClusterMemStore builds the in-memory state store.
-	NewClusterMemStore = cluster.NewMemStore
-	// EncodeClusterEnvelope frames a migration envelope (CRC-checked).
-	EncodeClusterEnvelope = cluster.EncodeEnvelope
-	// DecodeClusterEnvelope verifies and decodes a migration envelope.
-	DecodeClusterEnvelope = cluster.DecodeEnvelope
 	// RunClusterSelfTest drives a multi-node in-process cluster through
 	// kill/restart/rebalance churn and verifies zero drops and zero
 	// detector-state parity mismatches against a single-process oracle.
@@ -687,29 +457,17 @@ var (
 type (
 	// PipelineTracer records sampled spans through the ingest hot path.
 	PipelineTracer = trace.Tracer
-	// PipelineTracerConfig parameterizes a PipelineTracer.
-	PipelineTracerConfig = trace.Config
 	// PipelineSpan is one recorded stage timing.
 	PipelineSpan = trace.Span
 	// PipelineStage identifies a pipeline stage (parse, queue, detect...).
 	PipelineStage = trace.Stage
-	// FlightRecorder retains the last N annotated samples of one source.
-	FlightRecorder = trace.FlightRecorder
 	// FlightRecord is one annotated sample: value, score, phase, verdict
 	// and stage timings.
 	FlightRecord = trace.Record
 )
 
-// Pipeline tracing functions.
-var (
-	// NewPipelineTracer builds a tracer (nil, a safe no-op, when
-	// SampleEvery is 0).
-	NewPipelineTracer = trace.New
-	// NewFlightRecorder builds a per-source recorder (nil when depth <= 0).
-	NewFlightRecorder = trace.NewFlightRecorder
-	// ParseTraceSampleRate parses "0", "N" or "1/N" -trace-sample values.
-	ParseTraceSampleRate = trace.ParseSampleRate
-)
+// ParseTraceSampleRate parses "0", "N" or "1/N" -trace-sample values.
+var ParseTraceSampleRate = trace.ParseSampleRate
 
 // Rejuvenation policies and evaluation.
 type (
@@ -717,10 +475,6 @@ type (
 	RejuvenationPolicy = rejuv.Policy
 	// PeriodicPolicy restarts on a fixed schedule.
 	PeriodicPolicy = rejuv.PeriodicPolicy
-	// MonitorPolicy restarts when the aging monitor triggers.
-	MonitorPolicy = rejuv.MonitorPolicy
-	// NoPolicy never restarts proactively.
-	NoPolicy = rejuv.NoPolicy
 	// RejuvenationOutcome summarizes a policy evaluation.
 	RejuvenationOutcome = rejuv.Outcome
 	// RejuvenationEvalConfig parameterizes the evaluation.
@@ -734,14 +488,11 @@ type (
 // Rejuvenation functions.
 var (
 	NewPeriodicPolicy       = rejuv.NewPeriodicPolicy
-	NewMonitorPolicy        = rejuv.NewMonitorPolicy
-	EvaluatePolicy          = rejuv.Evaluate
-	DefaultRejuvenEval      = rejuv.DefaultEvalConfig
 	OptimalPeriodicInterval = rejuv.OptimalPeriodicInterval
 	DefaultCostModel        = rejuv.DefaultCostModel
 )
 
-// Telemetry: metrics registry, exposition/HTTP serving, and structured
+// Telemetry: metrics registry with Prometheus exposition, and structured
 // JSONL events. Instrumentation hooks (Monitor.Instrument,
 // DualMonitor.Instrument, Machine.Instrument, FleetConfig.Obs/Events) are
 // all nil-safe: passing a nil registry or emitter keeps the hot paths at
@@ -762,105 +513,10 @@ type (
 	EventFields = obs.Fields
 	// EventLevel grades event severity.
 	EventLevel = obs.Level
-	// ObsHandlerConfig parameterizes NewObsHandler.
-	ObsHandlerConfig = obs.HandlerConfig
 )
 
-// Event severity levels.
-const (
-	LevelDebug = obs.LevelDebug
-	LevelInfo  = obs.LevelInfo
-	LevelWarn  = obs.LevelWarn
-	LevelError = obs.LevelError
-)
-
-// Telemetry constructors.
-var (
-	// NewRegistry creates an empty metrics registry.
-	NewRegistry = obs.NewRegistry
-	// NewEvents creates a JSONL event emitter.
-	NewEvents = obs.NewEvents
-	// NewObsHandler serves a registry over HTTP: /metrics, /healthz and
-	// (opt-in) /debug/pprof.
-	NewObsHandler = obs.NewHandler
-	// ExponentialBuckets builds geometric histogram bounds.
-	ExponentialBuckets = obs.ExponentialBuckets
-	// LinearBuckets builds arithmetic histogram bounds.
-	LinearBuckets = obs.LinearBuckets
-)
-
-// Pipeline transport (internal/source): Sources yield counter-sample
-// Items from line streams, simulated machines, CSV replays or memory;
-// Sinks consume them into monitors, trace dumps or the fleet registry.
-// Every command is a source→stages→sink composition over this layer.
-type (
-	// PipelineItem is one transported unit: a batch of counter pairs
-	// from one source, possibly carrying a crash marker.
-	PipelineItem = source.Item
-	// PipelineSource yields items until io.EOF.
-	PipelineSource = source.Source
-	// PipelineSink consumes items.
-	PipelineSink = source.Sink
-	// BadLineError reports a recoverable malformed input line.
-	BadLineError = source.BadLineError
-	// SimSource drives a simulated machine as a pipeline source.
-	SimSource = source.SimSource
-	// SimSourceConfig parameterizes NewSimSource.
-	SimSourceConfig = source.SimConfig
-	// TraceReplaySource replays recorded counter pairs (e.g. a
-	// stressgen CSV). Distinct from the workload ReplaySource, which
-	// replays load intensities.
-	TraceReplaySource = source.ReplaySource
-	// FaultSourceConfig parameterizes a fault-injection source wrapper.
-	FaultSourceConfig = source.FaultConfig
-	// MonitorSinkConfig parameterizes a sink feeding a DualMonitor.
-	MonitorSinkConfig = source.MonitorSinkConfig
-)
-
-// Pipeline transport constructors.
-var (
-	// NewSimSource builds a simulated-machine source from a config.
-	NewSimSource = source.NewSim
-	// NewMemorySource wraps in-memory items as a source.
-	NewMemorySource = source.NewMemory
-	// NewTraceReplay replays recorded counter pairs.
-	NewTraceReplay = source.NewReplay
-	// NewTraceReplayCSV replays a counter CSV (stressgen output).
-	NewTraceReplayCSV = source.NewReplayCSV
-	// NewFaultSource wraps a source with deterministic drop/corrupt faults.
-	NewFaultSource = source.NewFault
-	// NewMonitorSink feeds items into an online DualMonitor.
-	NewMonitorSink = source.NewMonitorSink
-	// NewTraceSink accumulates items into a collector Trace.
-	NewTraceSink = source.NewTraceSink
-	// PumpPipeline drives a source into a sink until EOF, cancel or crash.
-	PumpPipeline = source.Pump
-)
-
-// App lifecycle kernel (internal/runtime): signal-driven graceful drain
-// with a second-signal force-exit, atomic state snapshots with
-// restore-on-start, and one-call observability wiring.
-type (
-	// SnapshotManager periodically persists opaque state blobs atomically
-	// and restores them at start.
-	SnapshotManager = apprt.SnapshotManager
-	// SignalOptions parameterizes NotifyContext.
-	SignalOptions = apprt.SignalOptions
-)
-
-// App lifecycle helpers.
-var (
-	// NotifyContext cancels the returned context on SIGINT/SIGTERM and
-	// force-exits on a second signal.
-	NotifyContext = apprt.NotifyContext
-	// SignalFromContext reports the signal that cancelled a
-	// NotifyContext context, if any.
-	SignalFromContext = apprt.Signal
-	// OpenEvents opens a JSONL event sink path ("-" = stdout, "" = off).
-	OpenEvents = apprt.OpenEvents
-	// WriteFileAtomic writes a file via a same-directory rename.
-	WriteFileAtomic = apprt.WriteFileAtomic
-)
+// NewRegistry creates an empty metrics registry.
+var NewRegistry = obs.NewRegistry
 
 // NewRand returns a deterministic random source for use with the
 // constructors above; every stochastic component in this module takes an

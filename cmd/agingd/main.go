@@ -370,11 +370,11 @@ func run(args []string, stdout io.Writer) error {
 	sinkCtx, cancelSinks := context.WithCancel(context.Background())
 	defer cancelSinks()
 	if alertEvents != nil {
-		go agingmf.IngestJSONLSink(srv.Registry().Alerts().Subscribe("jsonl", 256), alertEvents)
+		go agingmf.AlertJSONLSink(srv.Registry().Alerts().Subscribe("jsonl", 256), alertEvents)
 	}
 	if opt.webhook != "" {
-		go agingmf.IngestWebhookSink(sinkCtx, srv.Registry().Alerts().Subscribe("webhook", 256),
-			agingmf.IngestWebhookConfig{URL: opt.webhook}, events)
+		go agingmf.AlertWebhookSink(sinkCtx, srv.Registry().Alerts().Subscribe("webhook", 256),
+			agingmf.AlertWebhookConfig{URL: opt.webhook}, events)
 	}
 
 	if opt.sbSelftest {

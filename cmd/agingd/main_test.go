@@ -67,6 +67,28 @@ func TestSelfTestMode(t *testing.T) {
 	}
 }
 
+// TestSelfTestBinaryMode runs the binary-wire twin of the self-test at a
+// small size: columnar frames through the real socket, zero loss, zero
+// rejects and row-path parity.
+func TestSelfTestBinaryMode(t *testing.T) {
+	var buf syncBuf
+	err := run([]string{
+		"-listen", "127.0.0.1:0", "-http", "",
+		"-selftest-binary", "-selftest-binary-sources", "2",
+		"-selftest-binary-samples", "16384", "-seed", "5",
+	}, &buf)
+	if err != nil {
+		t.Fatalf("binary selftest failed: %v\n%s", err, buf.String())
+	}
+	out := buf.String()
+	if !strings.Contains(out, "selftest-binary: PASS") {
+		t.Errorf("no PASS verdict:\n%s", out)
+	}
+	if !strings.Contains(out, " 0 parity mismatches") {
+		t.Errorf("parity mismatches reported:\n%s", out)
+	}
+}
+
 // TestSelfTestModeTraced runs the same verification with the pipeline
 // tracer and flight recorder on: parity must hold on the annotated path,
 // every source's recorder tail must match the wire trace, and the live

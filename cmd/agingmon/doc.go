@@ -47,7 +47,7 @@
 // Usage:
 //
 //	agingmon [-seed N] [-ram-mib N] [-swap-mib N] [-leak PAGES]
-//	         [-max-ticks N] [-sim | -stdin]
+//	         [-max-ticks N] [-stdin]
 //	         [-state FILE] [-metrics-addr HOST:PORT] [-pprof]
 //	         [-events FILE] [-tick-every DURATION]
 //	         [-max-bad-samples N] [-stall-timeout DURATION]

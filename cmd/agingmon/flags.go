@@ -13,7 +13,6 @@ type options struct {
 	leak         float64
 	maxTicks     int
 	limit        int
-	sim          bool
 	stdin        bool
 	state        string
 	metricsAddr  string
@@ -38,7 +37,6 @@ func newFlagSet(opt *options) *flag.FlagSet {
 	fs.Float64Var(&opt.leak, "leak", 3.5, "server leak rate in pages/tick")
 	fs.IntVar(&opt.maxTicks, "max-ticks", 60000, "simulation horizon in ticks")
 	fs.IntVar(&opt.limit, "history-limit", 4096, "deprecated: the monitor keeps no history and ignores it; the value is only recorded in the -state file's configuration (accepted until the next release)")
-	fs.BoolVar(&opt.sim, "sim", true, "monitor the built-in simulated machine (the default; -stdin overrides)")
 	fs.BoolVar(&opt.stdin, "stdin", false, `read "free_bytes,swap_bytes" samples from stdin instead of simulating`)
 	fs.StringVar(&opt.state, "state", "", "restore monitor state from this file at start, save on exit")
 	fs.StringVar(&opt.metricsAddr, "metrics-addr", "", "serve /metrics and /healthz on this address while running (e.g. :9177; empty disables)")

@@ -19,7 +19,6 @@ func TestFlagSurface(t *testing.T) {
 		"leak":                  "3.5",
 		"max-ticks":             "60000",
 		"history-limit":         "4096",
-		"sim":                   "true",
 		"stdin":                 "false",
 		"state":                 "",
 		"metrics-addr":          "",

@@ -37,7 +37,6 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 			fmt.Fprintln(stdout, "agingmon: warning: -history-limit is deprecated and ignored: the monitor keeps no history")
 		}
 	})
-	_ = opt.sim // sim is the default mode; the flag exists to state it explicitly
 
 	tel, err := runtime.NewTelemetry(opt.metricsAddr, opt.pprof, opt.events)
 	if err != nil {

@@ -75,7 +75,7 @@ func TestRunServesLiveMetrics(t *testing.T) {
 	done := make(chan error, 1)
 	go func() {
 		done <- run([]string{
-			"-sim", "-seed", "1", "-max-ticks", "3000",
+			"-seed", "1", "-max-ticks", "3000",
 			"-tick-every", "1ms", "-metrics-addr", "127.0.0.1:0",
 		}, nil, out)
 	}()
@@ -193,7 +193,7 @@ func TestRunServesTraceEndpoints(t *testing.T) {
 	done := make(chan error, 1)
 	go func() {
 		done <- run([]string{
-			"-sim", "-seed", "1", "-max-ticks", "4000",
+			"-seed", "1", "-max-ticks", "4000",
 			"-tick-every", "1ms", "-metrics-addr", "127.0.0.1:0",
 			"-trace-sample", "1/8", "-flight-recorder-depth", "16",
 		}, nil, out)

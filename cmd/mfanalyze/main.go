@@ -102,6 +102,11 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 			return fmt.Errorf("column %q not found; have %v", opt.column, names)
 		}
 	}
+	// Every estimator below would turn a NaN or Inf into figures that look
+	// valid; refuse the column before printing any of them.
+	if !s.IsFinite() {
+		return fmt.Errorf("column %q holds non-finite values (NaN or Inf)", s.Name)
+	}
 	fmt.Fprintf(stdout, "series %q: %d samples, step %v\n", s.Name, s.Len(), s.Step)
 	if sum, err := s.Summarize(); err == nil {
 		fmt.Fprintf(stdout, "summary: %v\n", sum)

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -96,5 +98,38 @@ func TestRunBadInput(t *testing.T) {
 	}
 	if err := run([]string{"-zzz"}, nil, &out); err == nil {
 		t.Error("unknown flag should fail")
+	}
+}
+
+func TestRunRejectsNonFiniteColumn(t *testing.T) {
+	// A leaking free-memory counter with a NaN every 500 samples: the
+	// run must fail naming the column, before it prints any figure.
+	rng := rand.New(rand.NewSource(3))
+	free := make([]float64, 9000)
+	for i := range free {
+		free[i] = 8e9 - 4e5*float64(i) + 1e7*rng.NormFloat64()
+		if i%500 == 499 {
+			free[i] = math.NaN()
+		}
+	}
+	s, err := agingmf.NewSeries("free_memory", time.Unix(0, 0).UTC(), time.Second, free)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "leak.csv")
+	var csv bytes.Buffer
+	if err := agingmf.WriteSeriesCSV(&csv, s); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, csv.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	err = run([]string{"-file", path}, nil, &out)
+	if err == nil || !strings.Contains(err.Error(), `"free_memory"`) {
+		t.Errorf("run error = %v, want one naming column \"free_memory\"", err)
+	}
+	if out.Len() != 0 {
+		t.Errorf("figures printed for a non-finite column:\n%s", out.String())
 	}
 }

@@ -3,17 +3,20 @@
 // Gandikota, Liu — DSN 2003): online detection of software aging from the
 // multifractal structure of operating-system memory counters.
 //
-// The package re-exports the user-facing API of the internal packages:
+// The package re-exports the part of the internal packages' API that the
+// commands, examples and tests use, plus the types those names expose:
 //
 //   - the aging Monitor (the paper's contribution): stream a memory
 //     counter in, get Hölder-volatility jump alarms and aging phases out;
 //   - the analysis toolkit it is built on: pointwise Hölder estimation,
-//     Hurst estimators, MF-DFA multifractal spectra, change detectors;
+//     Hurst estimators, MF-DFA multifractal spectra, an EWMA change chart;
 //   - the simulated substrate standing in for the paper's instrumented
 //     Windows workstations: a page-level memory-subsystem simulator, a
 //     heavy-tailed stress workload, and a counter collector;
-//   - prior-work baselines (trend extrapolation, windowed Hurst) and
-//     rejuvenation-policy evaluation.
+//   - the prior-work trend-extrapolation baseline and rejuvenation-policy
+//     evaluation;
+//   - the fleet daemon's building blocks: ingestion server, control-plane
+//     alerts and rejuvenator, and cluster nodes.
 //
 // Quickstart:
 //

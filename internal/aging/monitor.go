@@ -622,6 +622,9 @@ func Analyze(s series.Series, cfg Config) (AnalysisResult, error) {
 	if s.Len() < 2*cfg.MaxRadius+cfg.VolatilityWindow+cfg.DetectorWarmup {
 		return AnalysisResult{}, fmt.Errorf("analyze %q: %d samples: %w", s.Name, s.Len(), ErrNotReady)
 	}
+	if !s.IsFinite() {
+		return AnalysisResult{}, fmt.Errorf("analyze %q: non-finite sample (NaN or Inf)", s.Name)
+	}
 	alphas := make([]float64, 0, s.Len())
 	mon.traj = &alphas
 	mon.AddColumns(s.Values)

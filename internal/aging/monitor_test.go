@@ -290,6 +290,16 @@ func TestAnalyzeTooShort(t *testing.T) {
 	}
 }
 
+func TestAnalyzeRejectsNonFinite(t *testing.T) {
+	xs := regimeChangeSignal(t, 8192, 5)
+	for i := 499; i < len(xs); i += 500 {
+		xs[i] = math.NaN()
+	}
+	if _, err := Analyze(series.FromValues("free_memory_bytes", xs), DefaultConfig()); err == nil {
+		t.Error("series with a NaN every 500 samples analyzed without error")
+	}
+}
+
 func TestPhaseAndDetectorStrings(t *testing.T) {
 	if PhaseHealthy.String() != "healthy" ||
 		PhaseAgingOnset.String() != "aging-onset" ||

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"agingmf/internal/aging"
+	"agingmf/internal/control"
 	"agingmf/internal/ingest"
 	"agingmf/internal/obs"
 	"agingmf/internal/trace"
@@ -216,7 +217,7 @@ func RunIngest(ctx context.Context, cfg IngestConfig) (IngestReport, error) {
 		_ = srv.Shutdown(sctx)
 	}
 
-	var deadSink *ingest.Subscription
+	var deadSink *control.Subscription
 	if f.AlertSinkOutage {
 		// A subscriber that never reads: its queue saturates immediately
 		// and every further alert for it must be dropped and counted.

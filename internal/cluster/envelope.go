@@ -42,7 +42,8 @@ type Envelope struct {
 	// Origin and Target name the nodes on either side of the handoff.
 	Origin string
 	Target string
-	// State is the source's aging.DualMonitor.SaveState blob.
+	// State is the source's detect.MonitorSet.SaveState blob (a
+	// holder-only set writes the legacy aging.DualMonitor format).
 	State []byte
 	// Records is the source's flight-recorder tail, oldest first (empty
 	// when the recorder is disabled).

@@ -7,7 +7,7 @@
 // current owner).
 //
 // The design premise is the repository's central invariant: a source's
-// DualMonitor state restores byte-for-byte from its gob SaveState blob.
+// detector-set state restores byte-for-byte from its gob SaveState blob.
 // That makes ownership transfer exact — a migrated source's verdicts
 // after handoff are identical to a monitor that never moved — so
 // rebalancing and node failure cost zero detector state (the paper's

@@ -9,8 +9,7 @@
 // heartbeat state, agingmon's report lines); nothing could consume a
 // verdict programmatically. The canonical Alert unifies them: detectors,
 // the ingest registry, the cluster membership layer and the rejuvenation
-// controller all speak it, and the legacy ingest names remain as type
-// aliases so existing producers and consumers compile unchanged.
+// controller all speak it.
 package control
 
 // Alert kinds published on the bus.

@@ -52,8 +52,7 @@ type Bus struct {
 
 // NewBus builds a bus with the given ring capacity. Each dropVec is a
 // per-sink drop-counter family: every Subscribe registers a child
-// labeled with the sink name on each of them, so one bus can feed both a
-// control-plane metric and a legacy-named one. Nil vecs are allowed and
+// labeled with the sink name on each of them. Nil vecs are allowed and
 // cost nothing (the obs instruments are nil-safe).
 func NewBus(ringSize int, dropVecs ...*obs.CounterVec) *Bus {
 	return &Bus{

@@ -10,6 +10,10 @@ import (
 
 func TestBusRing(t *testing.T) {
 	b := NewBus(4)
+	defer b.Close()
+	if got := b.Recent(0); len(got) != 0 {
+		t.Errorf("empty bus Recent(0) = %v", got)
+	}
 	for i := 0; i < 6; i++ {
 		b.Publish(Alert{Source: fmt.Sprintf("s%d", i), Kind: KindJump})
 	}
@@ -25,33 +29,38 @@ func TestBusRing(t *testing.T) {
 			t.Errorf("recent[%d].Source = %q, want %q", i, a.Source, want)
 		}
 	}
-	if got := b.Recent(2); len(got) != 2 || got[1].Source != "s5" {
-		t.Errorf("Recent(2) = %v, want the two newest ending at s5", got)
+	if got := b.Recent(2); len(got) != 2 || got[0].Source != "s4" || got[1].Source != "s5" {
+		t.Errorf("Recent(2) = %v, want the two newest, s4 then s5", got)
 	}
 }
 
 func TestBusFanoutAndLabeledDrops(t *testing.T) {
 	reg := obs.NewRegistry()
 	fleet := reg.CounterVec("agingmf_alert_drops_total", "by sink", "sink")
-	legacy := reg.CounterVec("agingmf_ingest_alert_drops_total", "by sink", "sink")
-	b := NewBus(8, fleet, legacy)
+	other := reg.CounterVec("agingmf_test_alert_drops_total", "by sink", "sink")
+	b := NewBus(8, fleet, other)
 
 	fast := b.Subscribe("fast", 16)
 	slow := b.Subscribe("slow", 1)
 	for i := 0; i < 5; i++ {
 		b.Publish(Alert{Source: "m", Kind: KindJump, Sample: i})
 	}
-	// fast has room for all five; slow's queue of one keeps the first and
-	// drops the other four.
+	// fast has room for all five, in publish order; slow's queue of one
+	// keeps the first and drops the other four.
 	if got := len(fast.C()); got != 5 {
 		t.Errorf("fast queued %d alerts, want 5", got)
+	}
+	for i := 0; i < 5; i++ {
+		if a := <-fast.C(); a.Sample != i {
+			t.Errorf("fast got sample %d, want %d", a.Sample, i)
+		}
 	}
 	if got := slow.Dropped(); got != 4 {
 		t.Errorf("slow.Dropped() = %d, want 4", got)
 	}
-	// The drops are labeled by sink on BOTH metric families: the
-	// control-plane name and the legacy ingest-scoped one.
-	for _, vec := range []*obs.CounterVec{fleet, legacy} {
+	// The drops are labeled by sink on every metric family the bus was
+	// built with.
+	for _, vec := range []*obs.CounterVec{fleet, other} {
 		if got := vec.With("slow").Value(); got != 4 {
 			t.Errorf("drop counter {sink=slow} = %d, want 4", got)
 		}
@@ -69,6 +78,9 @@ func TestBusFanoutAndLabeledDrops(t *testing.T) {
 
 	fast.Cancel()
 	fast.Cancel() // idempotent
+	if _, ok := <-fast.C(); ok {
+		t.Error("cancelled subscription channel still open")
+	}
 	b.Publish(Alert{Source: "m", Kind: KindJump})
 	if got := slow.Dropped(); got != 5 {
 		t.Errorf("slow.Dropped() after cancel of fast = %d, want 5", got)
@@ -76,20 +88,21 @@ func TestBusFanoutAndLabeledDrops(t *testing.T) {
 
 	b.Close()
 	b.Close() // idempotent
-	if _, ok := <-slow.C(); !ok {
-		// Drain the one queued alert first; the channel must then close.
-		t.Fatalf("slow lost its queued alert on Close")
+	// Drain the one queued alert first; the channel must then close.
+	if a, ok := <-slow.C(); !ok || a.Sample != 0 {
+		t.Fatalf("slow's queued alert on Close = %+v, ok=%v; want sample 0", a, ok)
 	}
-	for range slow.C() {
+	if _, ok := <-slow.C(); ok {
+		t.Error("bus close left subscriber channel open")
 	}
 	b.Publish(Alert{Source: "m", Kind: KindJump}) // no-op after Close
 	if got := b.Total(); got != 6 {
 		t.Errorf("Total() after post-close publish = %d, want 6", got)
 	}
-	if sub := b.Subscribe("late", 1); sub != nil {
-		if _, ok := <-sub.C(); ok {
-			t.Errorf("post-close Subscribe delivered an alert")
-		}
+	if sub := b.Subscribe("late", 1); sub == nil || sub.C() == nil {
+		t.Error("post-close Subscribe returned no channel")
+	} else if _, ok := <-sub.C(); ok {
+		t.Errorf("post-close subscription not closed")
 	}
 }
 

@@ -236,33 +236,6 @@ func (s *MonitorSet) Instrument(reg *obs.Registry) {
 	}
 }
 
-// DetectorStatus is one detector's externally visible state — the
-// per-detector section of the daemon's source status.
-type DetectorStatus struct {
-	// Kind is the detector name.
-	Kind string `json:"kind"`
-	// Phase is the detector's aging assessment.
-	Phase string `json:"phase"`
-	// Jumps is how many jump events the detector emitted.
-	Jumps int `json:"jumps"`
-	// Recalibrations is how many baseline re-anchors it performed.
-	Recalibrations int `json:"recalibrations,omitempty"`
-}
-
-// Status reports every detector's state, in push order.
-func (s *MonitorSet) Status() []DetectorStatus {
-	out := make([]DetectorStatus, len(s.dets))
-	for i, d := range s.dets {
-		out[i] = DetectorStatus{
-			Kind:           d.Kind(),
-			Phase:          d.Phase().String(),
-			Jumps:          d.Jumps(),
-			Recalibrations: d.Recalibrations(),
-		}
-	}
-	return out
-}
-
 // setStateVersion is the current MonitorSet snapshot schema version.
 // Legacy aging.DualMonitor blobs are recognized structurally: they share
 // no field names with setState, so gob refuses to decode them into it,

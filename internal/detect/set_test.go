@@ -316,24 +316,6 @@ func TestRestoreRejectsBadBlobs(t *testing.T) {
 	}
 }
 
-func TestStatus(t *testing.T) {
-	set, err := New([]string{KindHolder, KindEntropy, KindAdaptive}, testConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	addEach(set, agingPairs(11, 1200))
-	sts := set.Status()
-	if len(sts) != 3 {
-		t.Fatalf("status has %d sections, want 3", len(sts))
-	}
-	for i, st := range sts {
-		d := set.Detector(i)
-		if st.Kind != d.Kind() || st.Jumps != d.Jumps() || st.Phase != d.Phase().String() {
-			t.Errorf("status %+v disagrees with detector %s", st, d.Kind())
-		}
-	}
-}
-
 func mustSave(t *testing.T, s *MonitorSet) []byte {
 	t.Helper()
 	blob, err := s.SaveState()

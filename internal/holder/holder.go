@@ -103,6 +103,9 @@ func Oscillation(s series.Series, cfg Config) (series.Series, error) {
 	if err := cfg.validate(n); err != nil {
 		return series.Series{}, fmt.Errorf("oscillation %q: %w", s.Name, err)
 	}
+	if !s.IsFinite() {
+		return series.Series{}, fmt.Errorf("oscillation %q: non-finite sample (NaN or Inf)", s.Name)
+	}
 	est, err := stream.NewOscillationEstimator(cfg.radii())
 	if err != nil {
 		return series.Series{}, fmt.Errorf("oscillation %q: %w", s.Name, err)

@@ -295,6 +295,33 @@ func TestOscillationErrors(t *testing.T) {
 	}
 }
 
+func TestOscillationRejectsNonFinite(t *testing.T) {
+	// NaN has no ordering, so the estimator's deque path and its ladder
+	// kernel would resolve it differently; the offline path must refuse
+	// it, as ingestion does, instead of returning a trajectory.
+	rng := rand.New(rand.NewSource(1))
+	xs := make([]float64, 9000)
+	for i := range xs {
+		xs[i] = rng.NormFloat64()
+		if i%500 == 499 {
+			xs[i] = math.NaN()
+		}
+	}
+	if _, err := Oscillation(series.FromValues("nan", xs), DefaultConfig()); err == nil {
+		t.Error("series with a NaN every 500 samples accepted")
+	}
+	xs = xs[:1000]
+	for i := range xs {
+		if math.IsNaN(xs[i]) {
+			xs[i] = 0
+		}
+	}
+	xs[600] = math.Inf(-1)
+	if _, err := Oscillation(series.FromValues("inf", xs), DefaultConfig()); err == nil {
+		t.Error("series with an infinite sample accepted")
+	}
+}
+
 func TestWaveletLeaderOrdersRoughness(t *testing.T) {
 	var got []float64
 	for _, h := range []float64{0.3, 0.7} {

@@ -1,41 +1,47 @@
 package ingest
 
 import (
-	"bytes"
-	"context"
-	"encoding/json"
 	"fmt"
-	"net/http"
-	"net/http/httptest"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
+	"agingmf/internal/control"
 	"agingmf/internal/obs"
-	"agingmf/internal/resilience"
 )
 
-func testAlert(i int) Alert {
-	return Alert{Source: fmt.Sprintf("s-%d", i), Kind: AlertJump, Sample: i}
+func testAlert(i int) control.Alert {
+	return control.Alert{Source: fmt.Sprintf("s-%d", i), Kind: control.KindJump, Sample: i}
+}
+
+// newAlertRegistry builds a registry whose alert bus keeps ring alerts
+// and counts drops on the returned obs registry.
+func newAlertRegistry(t *testing.T, ring int) (*Registry, *obs.Registry) {
+	t.Helper()
+	o := obs.NewRegistry()
+	r, err := NewRegistry(Config{Shards: 1, AlertRing: ring, Obs: o, Monitor: testMonitorConfig()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r, o
 }
 
 func TestAlertBusRing(t *testing.T) {
-	b := newAlertBus(4, metrics{})
-	defer b.Close()
+	r, o := newAlertRegistry(t, 4)
+	defer r.Close()
+	b := r.Alerts()
 	if got := b.Recent(0); len(got) != 0 {
 		t.Errorf("empty bus Recent = %v", got)
 	}
 	for i := 0; i < 6; i++ {
-		b.Publish(testAlert(i))
+		r.publishAlert(testAlert(i))
 	}
 	if b.Total() != 6 {
 		t.Errorf("total = %d", b.Total())
 	}
 	got := b.Recent(0)
 	if len(got) != 4 {
-		t.Fatalf("ring retained %d alerts, want 4", len(got))
+		t.Fatalf("ring retained %d alerts, want 4 (Config.AlertRing)", len(got))
 	}
 	for i, a := range got { // oldest first: 2,3,4,5
 		if a.Sample != i+2 {
@@ -45,14 +51,22 @@ func TestAlertBusRing(t *testing.T) {
 	if got := b.Recent(2); len(got) != 2 || got[0].Sample != 4 || got[1].Sample != 5 {
 		t.Errorf("Recent(2) = %v", got)
 	}
+	var text strings.Builder
+	if err := o.WriteText(&text); err != nil {
+		t.Fatal(err)
+	}
+	if want := metricAlerts + `{kind="jump"} 6`; !strings.Contains(text.String(), want) {
+		t.Errorf("exposition lacks %q:\n%s", want, text.String())
+	}
 }
 
 func TestAlertBusFanoutAndDrops(t *testing.T) {
-	b := newAlertBus(8, metrics{})
+	r, o := newAlertRegistry(t, 8)
+	b := r.Alerts()
 	fast := b.Subscribe("fast", 8)
 	slow := b.Subscribe("slow", 1) // 1-slot queue, never drained: drops
 	for i := 0; i < 5; i++ {
-		b.Publish(testAlert(i))
+		r.publishAlert(testAlert(i))
 	}
 	for i := 0; i < 5; i++ {
 		select {
@@ -67,196 +81,40 @@ func TestAlertBusFanoutAndDrops(t *testing.T) {
 	if slow.Dropped() != 4 {
 		t.Errorf("slow dropped = %d, want 4", slow.Dropped())
 	}
+	var text strings.Builder
+	if err := o.WriteText(&text); err != nil {
+		t.Fatal(err)
+	}
+	if want := metricAlertDropsFleet + `{sink="slow"} 4`; !strings.Contains(text.String(), want) {
+		t.Errorf("exposition lacks %q:\n%s", want, text.String())
+	}
 	// Cancel is idempotent and closes the channel.
 	fast.Cancel()
 	fast.Cancel()
 	if _, ok := <-fast.C(); ok {
 		t.Error("cancelled subscription channel still open")
 	}
+	// Closing the registry closes its bus; both are idempotent.
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
 	b.Close()
-	b.Close() // idempotent
 	if a, ok := <-slow.C(); !ok || a.Sample != 0 {
 		t.Errorf("slow subscriber's buffered alert = %+v, ok=%v", a, ok)
 	}
 	if _, ok := <-slow.C(); ok {
-		t.Error("bus close left subscriber channel open")
+		t.Error("registry close left subscriber channel open")
 	}
-	b.Publish(testAlert(9)) // post-close publish is a silent no-op
+	r.publishAlert(testAlert(9)) // post-close publish is a silent no-op
+	if b.Total() != 5 {
+		t.Errorf("post-close publish counted: total = %d, want 5", b.Total())
+	}
 	if sub := b.Subscribe("late", 1); sub.C() == nil {
 		t.Error("post-close Subscribe returned nil channel")
 	} else if _, ok := <-sub.C(); ok {
 		t.Error("post-close subscription not closed")
-	}
-}
-
-func TestJSONLSink(t *testing.T) {
-	var buf bytes.Buffer
-	var mu sync.Mutex
-	ev := obs.NewEvents(syncWriter{&mu, &buf}, obs.LevelInfo)
-	b := newAlertBus(4, metrics{})
-	sub := b.Subscribe("jsonl", 4)
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		JSONLSink(sub, ev)
-	}()
-	b.Publish(Alert{Source: "web-01", Kind: AlertPhaseChange, From: "healthy", To: "aging-onset"})
-	b.Publish(Alert{Source: "web-01", Kind: AlertJump, Detector: "entropy", Counter: "free-memory", Sample: 97})
-	b.Close()
-	<-done
-
-	mu.Lock()
-	out := buf.String()
-	mu.Unlock()
-	lines := strings.Split(strings.TrimSpace(out), "\n")
-	if len(lines) != 2 {
-		t.Fatalf("sink wrote %d lines, want 2:\n%s", len(lines), out)
-	}
-	var rec map[string]any
-	if err := json.Unmarshal([]byte(lines[0]), &rec); err != nil {
-		t.Fatalf("sink output %q is not JSONL: %v", lines[0], err)
-	}
-	if rec["event"] != "alert" || rec["source"] != "web-01" || rec["alert"] != AlertPhaseChange {
-		t.Errorf("sink record = %v", rec)
-	}
-	if err := json.Unmarshal([]byte(lines[1]), &rec); err != nil {
-		t.Fatalf("sink output %q is not JSONL: %v", lines[1], err)
-	}
-	if rec["alert"] != AlertJump || rec["detector"] != "entropy" {
-		t.Errorf("jump record missing detector label: %v", rec)
-	}
-}
-
-// syncWriter serializes writes between the sink goroutine and the test.
-type syncWriter struct {
-	mu *sync.Mutex
-	w  *bytes.Buffer
-}
-
-func (s syncWriter) Write(p []byte) (int, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.w.Write(p)
-}
-
-func TestWebhookSinkRetriesTransient(t *testing.T) {
-	var calls atomic.Int32
-	var got atomic.Value
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if calls.Add(1) == 1 {
-			http.Error(w, "boom", http.StatusInternalServerError) // transient
-			return
-		}
-		var a Alert
-		if err := json.NewDecoder(r.Body).Decode(&a); err != nil {
-			t.Errorf("webhook body: %v", err)
-		}
-		got.Store(a)
-	}))
-	defer ts.Close()
-
-	b := newAlertBus(4, metrics{})
-	sub := b.Subscribe("webhook", 4)
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		WebhookSink(context.Background(), sub, WebhookConfig{
-			URL:   ts.URL,
-			Retry: resilience.RetryConfig{MaxAttempts: 3, BaseDelay: time.Millisecond},
-		}, nil)
-	}()
-	want := Alert{Source: "db-7", Kind: AlertJump, Detector: "holder", Counter: "free-memory", Sample: 41}
-	b.Publish(want)
-	b.Close()
-	<-done
-
-	if n := calls.Load(); n != 2 {
-		t.Errorf("webhook called %d times, want 2 (5xx then success)", n)
-	}
-	if a, _ := got.Load().(Alert); a != want {
-		t.Errorf("webhook received %+v, want %+v", a, want)
-	}
-}
-
-func TestWebhookSinkPermanentFailureIsNotRetried(t *testing.T) {
-	var calls atomic.Int32
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		calls.Add(1)
-		http.Error(w, "no", http.StatusBadRequest)
-	}))
-	defer ts.Close()
-
-	var buf bytes.Buffer
-	var mu sync.Mutex
-	ev := obs.NewEvents(syncWriter{&mu, &buf}, obs.LevelInfo)
-	b := newAlertBus(4, metrics{})
-	sub := b.Subscribe("webhook", 4)
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		WebhookSink(context.Background(), sub, WebhookConfig{
-			URL:   ts.URL,
-			Retry: resilience.RetryConfig{MaxAttempts: 5, BaseDelay: time.Millisecond},
-		}, ev)
-	}()
-	b.Publish(testAlert(1))
-	b.Close()
-	<-done
-
-	if n := calls.Load(); n != 1 {
-		t.Errorf("webhook called %d times for a 400, want 1", n)
-	}
-	mu.Lock()
-	out := buf.String()
-	mu.Unlock()
-	if !strings.Contains(out, "alert_webhook_failed") {
-		t.Errorf("delivery failure not evented: %q", out)
-	}
-}
-
-func TestWebhookSinkTimeoutBoundsAttempt(t *testing.T) {
-	// A black-holed endpoint: accepts the connection, never responds.
-	block := make(chan struct{})
-	var calls atomic.Int32
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		calls.Add(1)
-		<-block
-	}))
-	defer func() { close(block); ts.Close() }()
-
-	var buf bytes.Buffer
-	var mu sync.Mutex
-	ev := obs.NewEvents(syncWriter{&mu, &buf}, obs.LevelInfo)
-	b := newAlertBus(4, metrics{})
-	sub := b.Subscribe("webhook", 4)
-	done := make(chan struct{})
-	start := time.Now()
-	go func() {
-		defer close(done)
-		WebhookSink(context.Background(), sub, WebhookConfig{
-			URL:     ts.URL,
-			Timeout: 25 * time.Millisecond,
-			Retry:   resilience.RetryConfig{MaxAttempts: 2, BaseDelay: time.Millisecond},
-		}, ev)
-	}()
-	b.Publish(testAlert(7))
-	b.Close()
-
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("webhook sink wedged on a never-responding endpoint")
-	}
-	if elapsed := time.Since(start); elapsed > 2*time.Second {
-		t.Fatalf("delivery took %v; the per-attempt timeout did not bound it", elapsed)
-	}
-	if n := calls.Load(); n != 2 {
-		t.Errorf("webhook attempted %d times, want 2 (timeout is per attempt)", n)
-	}
-	mu.Lock()
-	out := buf.String()
-	mu.Unlock()
-	if !strings.Contains(out, "alert_webhook_failed") {
-		t.Errorf("timed-out delivery not evented: %q", out)
 	}
 }

@@ -17,10 +17,8 @@ const (
 	metricQueueDepth = "agingmf_ingest_queue_depth"
 	metricHandleSec  = "agingmf_ingest_handle_seconds"
 	metricAlerts     = "agingmf_ingest_alerts_total"
-	metricAlertDrops = "agingmf_ingest_alert_drops_total"
-	// metricAlertDropsFleet is the control-plane name for the same drops;
-	// both families are incremented so dashboards keyed on the legacy
-	// ingest-scoped name keep working.
+	// metricAlertDropsFleet is the control-plane family the registry's
+	// bus counts slow-subscriber drops on.
 	metricAlertDropsFleet = "agingmf_alert_drops_total"
 	metricConns           = "agingmf_ingest_connections_total"
 	metricConnsOpen       = "agingmf_ingest_open_connections"
@@ -48,8 +46,7 @@ type metrics struct {
 	queueDepth      *obs.GaugeVec // by shard
 	handleSec       *obs.Histogram
 	alerts          *obs.CounterVec // by kind
-	alertDrops      *obs.CounterVec // by sink (legacy name)
-	alertDropsFleet *obs.CounterVec // by sink (control-plane name)
+	alertDropsFleet *obs.CounterVec // by sink
 	conns           *obs.CounterVec // by proto
 	connsOpen       *obs.Gauge
 	snapshots       *obs.Counter
@@ -77,8 +74,6 @@ func newMetrics(reg *obs.Registry) metrics {
 			handleBuckets),
 		alerts: reg.CounterVec(metricAlerts,
 			"Alerts published on the alert bus.", "kind"),
-		alertDrops: reg.CounterVec(metricAlertDrops,
-			"Alerts dropped by a saturated subscriber queue.", "sink"),
 		alertDropsFleet: reg.CounterVec(metricAlertDropsFleet,
 			"Alerts dropped by a saturated subscriber queue, by sink.", "sink"),
 		conns: reg.CounterVec(metricConns,

@@ -311,7 +311,7 @@ type Registry struct {
 	cfg    Config
 	shards []*shard
 	met    metrics
-	bus    *AlertBus
+	bus    *control.Bus
 	tr     *trace.Tracer // nil unless TraceSampleEvery > 0
 
 	byID      sync.Map // source id → *source (read side of the status API)
@@ -351,7 +351,7 @@ func NewRegistry(cfg Config) (*Registry, error) {
 			Obs:          cfg.Obs,
 		}),
 	}
-	r.bus = newAlertBus(cfg.AlertRing, r.met)
+	r.bus = control.NewBus(cfg.AlertRing, r.met.alertDropsFleet)
 	r.shards = make([]*shard, cfg.Shards)
 	for i := range r.shards {
 		r.shards[i] = &shard{
@@ -391,7 +391,7 @@ func NewRegistry(cfg Config) (*Registry, error) {
 func (r *Registry) Config() Config { return r.cfg }
 
 // Alerts returns the registry's alert bus.
-func (r *Registry) Alerts() *AlertBus { return r.bus }
+func (r *Registry) Alerts() *control.Bus { return r.bus }
 
 // shardIndex hashes a source id onto a shard (FNV-1a).
 func (r *Registry) shardIndex(id string) int {
@@ -803,11 +803,12 @@ func (r *Registry) attachSource(sh *shard, id string, set *detect.MonitorSet) *s
 	}
 	src.phase.Store(int32(set.Phase()))
 	src.dets = make([]*detectorMirror, len(set.Kinds()))
-	for i, ds := range set.Status() {
-		m := &detectorMirror{kind: ds.Kind}
-		m.jumps.Store(int64(ds.Jumps))
-		m.recals.Store(int64(ds.Recalibrations))
-		m.phase.Store(int32(set.Detector(i).Phase()))
+	for i := range src.dets {
+		d := set.Detector(i)
+		m := &detectorMirror{kind: d.Kind()}
+		m.jumps.Store(int64(d.Jumps()))
+		m.recals.Store(int64(d.Recalibrations()))
+		m.phase.Store(int32(d.Phase()))
 		src.dets[i] = m
 	}
 	if r.cfg.StallTimeout > 0 {
@@ -823,7 +824,7 @@ func (r *Registry) attachSource(sh *shard, id string, set *detect.MonitorSet) *s
 }
 
 // publishAlert counts and fans out one alert.
-func (r *Registry) publishAlert(a Alert) {
+func (r *Registry) publishAlert(a control.Alert) {
 	r.met.alerts.With(a.Kind).Inc()
 	r.bus.Publish(a)
 }

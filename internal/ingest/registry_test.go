@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"agingmf/internal/aging"
+	"agingmf/internal/control"
 )
 
 // testMonitorConfig is a small-window detector configuration so tests
@@ -381,7 +382,7 @@ func TestRegistryStallAndResumeAlerts(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	waitAlert := func(kind string) Alert {
+	waitAlert := func(kind string) control.Alert {
 		t.Helper()
 		for {
 			select {
@@ -394,7 +395,7 @@ func TestRegistryStallAndResumeAlerts(t *testing.T) {
 			}
 		}
 	}
-	a := waitAlert(AlertStall)
+	a := waitAlert(control.KindStall)
 	if a.Source != "s" || a.GapMillis <= 0 {
 		t.Errorf("stall alert = %+v", a)
 	}
@@ -404,7 +405,7 @@ func TestRegistryStallAndResumeAlerts(t *testing.T) {
 	if err := r.Ingest(Sample{Source: "s", Free: 2, Swap: 0}); err != nil {
 		t.Fatal(err)
 	}
-	if a := waitAlert(AlertResume); a.Source != "s" {
+	if a := waitAlert(control.KindResume); a.Source != "s" {
 		t.Errorf("resume alert = %+v", a)
 	}
 }
@@ -447,9 +448,9 @@ func TestRegistryJumpAlertsMatchMonitor(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var got []Alert
+	var got []control.Alert
 	for _, a := range r.Alerts().Recent(0) {
-		if a.Kind == AlertJump {
+		if a.Kind == control.KindJump {
 			got = append(got, a)
 		}
 	}

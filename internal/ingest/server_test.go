@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"agingmf/internal/control"
 	"agingmf/internal/obs"
 )
 
@@ -162,8 +163,8 @@ func TestServerHTTPIngestAndAPI(t *testing.T) {
 	}
 
 	var alerts struct {
-		Total  uint64  `json:"total"`
-		Alerts []Alert `json:"alerts"`
+		Total  uint64          `json:"total"`
+		Alerts []control.Alert `json:"alerts"`
 	}
 	getJSON(t, base+"/api/alerts", &alerts)
 	if alerts.Total != uint64(len(alerts.Alerts)) {

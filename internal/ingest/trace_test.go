@@ -361,8 +361,11 @@ func TestSlowAlertSubscriberNeverBlocksIngest(t *testing.T) {
 	if err := reg.cfg.Obs.WriteText(&text); err != nil {
 		t.Fatal(err)
 	}
-	want := fmt.Sprintf(`%s{sink="wedged-webhook"} %d`, metricAlertDrops, sub.Dropped())
+	want := fmt.Sprintf(`%s{sink="wedged-webhook"} %d`, metricAlertDropsFleet, sub.Dropped())
 	if !strings.Contains(text.String(), want) {
 		t.Errorf("exposition missing %q in:\n%s", want, text.String())
+	}
+	if strings.Contains(text.String(), "agingmf_ingest_alert_drops_total") {
+		t.Errorf("drops counted on a second family besides %s:\n%s", metricAlertDropsFleet, text.String())
 	}
 }
