@@ -166,7 +166,7 @@ func newFlagSet(opt *options) *flag.FlagSet {
 	fs.StringVar(&opt.listen, "listen", ":9178", "TCP line-protocol listener address (empty disables)")
 	fs.StringVar(&opt.httpAddr, "http", ":9179", "HTTP listener: POST /ingest, the /api endpoints, /metrics, /healthz (empty disables)")
 	fs.IntVar(&opt.shards, "shards", 8, "monitor shards (single-writer goroutines)")
-	fs.IntVar(&opt.queue, "queue", 1024, "per-shard sample queue bound")
+	fs.IntVar(&opt.queue, "queue", 1024, "per-shard queue bound: messages (a frame, a batch; line, or one read's lone-sample lines for the shard), and lone-sample lines within them")
 	fs.StringVar(&opt.snapshot, "snapshot", "", "state snapshot file: read at start, written every -snapshot-every and on shutdown (empty disables)")
 	fs.DurationVar(&opt.snapshotEvery, "snapshot-every", time.Minute, "periodic snapshot cadence")
 	fs.DurationVar(&opt.stallTimeout, "stall-timeout", 0, "raise a stall alert when a source is silent this long (0 disables)")

@@ -339,11 +339,34 @@ func (n *Node) Holds(source string) bool {
 	return ok
 }
 
+// IngestLines routes the wire lines of one read, each on its own:
+// ownership and migration blocking are per source, so the node routes
+// line by line (see IngestLine). It returns how many lines were accepted
+// and hands every other line to reject, when non-nil, with its error.
+// With IngestColumns it satisfies the ingest server's router hook
+// (ingest.Router), so the TCP and HTTP transports route through the
+// cluster transparently.
+func (n *Node) IngestLines(defaultSource string, lines []string, reject func(line string, err error)) (accepted int, err error) {
+	for _, line := range lines {
+		id := ingest.PeekSource(defaultSource, line)
+		if id == "" {
+			continue // blank or comment keep-alive
+		}
+		switch err := n.route(id, defaultSource, line, 0); {
+		case err == nil:
+			accepted++
+		case errors.Is(err, ingest.ErrClosed):
+			return accepted, err
+		case reject != nil:
+			reject(line, err)
+		}
+	}
+	return accepted, nil
+}
+
 // IngestLine routes one wire line: locally if this node holds (or, per
 // the ring, should create) the source, otherwise forwarded to the
-// current owner. With IngestColumns it satisfies the ingest server's
-// router hook (ingest.Router), so the TCP and HTTP transports route
-// through the cluster transparently.
+// current owner.
 func (n *Node) IngestLine(defaultSource, line string) error {
 	id := ingest.PeekSource(defaultSource, line)
 	if id == "" {
@@ -368,8 +391,18 @@ func (n *Node) HandleForward(_ context.Context, defaultSource, line string, hops
 // bound only trips under pathological continuous churn.
 func (n *Node) route(id, defaultSource, line string, hops int) error {
 	return n.routeDeliver(id, defaultSource, hops,
-		func() error { return n.reg.IngestLine(defaultSource, line) },
+		func() error { return n.deliverLine(defaultSource, line) },
 		func() string { return line })
+}
+
+// deliverLine lands one line on the local registry and returns its
+// error, as the registry reports it to reject or to its caller.
+func (n *Node) deliverLine(defaultSource, line string) error {
+	var lineErr error
+	if _, err := n.reg.IngestLines(defaultSource, []string{line}, func(_ string, err error) { lineErr = err }); err != nil {
+		return err
+	}
+	return lineErr
 }
 
 // IngestColumns routes one columnar batch (a decoded binary wire

@@ -147,10 +147,10 @@ func TestIngestBatchValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	if err := r.IngestLine("", "batch;1 2"); !errors.Is(err, ErrNoSource) {
+	if err := ingestLine(r, "", "batch;1 2"); !errors.Is(err, ErrNoSource) {
 		t.Errorf("sourceless batch: err = %v, want ErrNoSource", err)
 	}
-	if err := r.IngestLine("bad peer", "batch;1 2;3 4"); !errors.Is(err, ErrBadLine) {
+	if err := ingestLine(r, "bad peer", "batch;1 2;3 4"); !errors.Is(err, ErrBadLine) {
 		t.Errorf("batch under an invalid default source: err = %v, want ErrBadLine", err)
 	}
 	if err := r.IngestColumns(columnBatch("a", [][2]float64{{1, 2}, {math.NaN(), 0}})); !errors.Is(err, ErrBadSample) {
@@ -165,7 +165,7 @@ func TestIngestBatchValidation(t *testing.T) {
 	if got := r.Accepted(); got != 0 {
 		t.Errorf("accepted = %d after only rejected batches", got)
 	}
-	if err := r.IngestLine("peer", "batch;source=a;1 2;3 4"); !errors.Is(err, ErrClosed) {
+	if err := ingestLine(r, "peer", "batch;source=a;1 2;3 4"); !errors.Is(err, ErrClosed) {
 		t.Errorf("batch after close: err = %v, want ErrClosed", err)
 	}
 	if got := r.Dropped(); got != 2 {
@@ -174,7 +174,7 @@ func TestIngestBatchValidation(t *testing.T) {
 }
 
 // TestRegistryBatchParity feeds the same traces as batch; wire lines of
-// mixed sizes and as one whole-trace batch line through IngestLine; both
+// mixed sizes and as one whole-trace batch line through IngestLines; both
 // registries must hold monitor state byte-identical to the per-sample
 // reference, with exact sample accounting.
 func TestRegistryBatchParity(t *testing.T) {
@@ -211,7 +211,7 @@ func TestRegistryBatchParity(t *testing.T) {
 			if off+n > len(tr) {
 				n = len(tr) - off
 			}
-			if err := r.IngestLine("fallback", FormatBatch(Batch{Source: id, Pairs: tr[off : off+n]})); err != nil {
+			if err := ingestLine(r, "fallback", FormatBatch(Batch{Source: id, Pairs: tr[off : off+n]})); err != nil {
 				return err
 			}
 			off += n
@@ -219,7 +219,7 @@ func TestRegistryBatchParity(t *testing.T) {
 		return nil
 	})
 	lined := feed(t, func(r *Registry, id string, tr [][2]float64) error {
-		return r.IngestLine("fallback", FormatBatch(Batch{Source: id, Pairs: tr}))
+		return ingestLine(r, "fallback", FormatBatch(Batch{Source: id, Pairs: tr}))
 	})
 
 	for _, r := range []*Registry{batched, lined} {

@@ -64,11 +64,63 @@ func BenchmarkIngestLine(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if err := r.IngestLine("peer", line); err != nil {
+				if err := ingestLine(r, "peer", line); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkIngestTextLines measures the text path fleet-text-lines
+// loads: single-sample lines of 4096 sources, round-robin, cut into reads
+// by the connection's line reader and routed by IngestLines, through to
+// the shards' folds. One op is one pass of 8 lines per source; ns/line
+// is the figure to compare.
+func BenchmarkIngestTextLines(b *testing.B) {
+	const sources, rounds = 4096, 8
+	var blob []byte
+	for k := 0; k < rounds; k++ {
+		for i := 0; i < sources; i++ {
+			blob = append(blob, FormatLine(Sample{
+				Source: fmt.Sprintf("m%05d", i), Free: 1e9 - float64(k*sources+i), Swap: float64(k),
+			})...)
+			blob = append(blob, '\n')
+		}
+	}
+	r, err := NewRegistry(Config{Monitor: testMonitorConfig()})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer r.Close()
+	pass := func() {
+		lr := newLineReader(bytes.NewReader(blob), 64<<10)
+		for {
+			lines, err := lr.next()
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := r.IngestLines("peer", lines, nil); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if err := r.Drain(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	pass() // every source exists before the clock starts
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pass()
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*sources*rounds), "ns/line")
+	if got, want := r.Accepted(), uint64((b.N+1)*sources*rounds); got != want {
+		b.Fatalf("accepted %d lines, want %d", got, want)
 	}
 }
 
@@ -91,7 +143,7 @@ func BenchmarkIngestBatchLine(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if err := r.IngestLine("peer", line); err != nil {
+				if err := ingestLine(r, "peer", line); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -240,11 +292,11 @@ func TestBinaryOverTextBudget(t *testing.T) {
 		sw := startStopwatch()
 		for p := 0; p < textPasses; p++ {
 			for _, line := range lines {
-				msg, err := parseUnit(line)
+				cb, err := parseBatchLine(line)
 				if err != nil {
 					t.Fatal(err)
 				}
-				msg.cols.Release()
+				cb.Release()
 			}
 		}
 		return sw.elapsed() / textPasses

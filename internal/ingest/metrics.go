@@ -29,8 +29,9 @@ const (
 	metricSnapshotCorrupt = "agingmf_snapshot_corrupt_total"
 )
 
-// handleBuckets spans the per-sample shard work (route + DualMonitor.Add
-// + status update), which is ~1 µs amortized.
+// handleBuckets spans the shard work of one message: a few µs for a lone
+// sample, up to milliseconds for a 4096-sample frame or a read's worth of
+// text rows.
 var handleBuckets = []float64{
 	500e-9, 1e-6, 2.5e-6, 5e-6, 10e-6, 25e-6, 100e-6, 1e-3, 10e-3,
 }
@@ -68,9 +69,9 @@ func newMetrics(reg *obs.Registry) metrics {
 		sources: reg.Gauge(metricSources,
 			"Sources currently tracked by the registry."),
 		queueDepth: reg.GaugeVec(metricQueueDepth,
-			"Samples queued ahead of each shard goroutine.", "shard"),
+			"Messages queued ahead of each shard goroutine: a binary frame, a batch; line, or one read's lone-sample text lines for the shard.", "shard"),
 		handleSec: reg.Histogram(metricHandleSec,
-			"Per-sample shard work: monitor add, status update, alerts.",
+			"Shard work per message (a binary frame, a batch; line, or one read's lone-sample text lines for the shard): monitor adds, status updates, alerts.",
 			handleBuckets),
 		alerts: reg.CounterVec(metricAlerts,
 			"Alerts published on the alert bus.", "kind"),

@@ -39,7 +39,7 @@ func TestPeekSource(t *testing.T) {
 	defer r.Close()
 	for _, line := range []string{"source=peeked 1e9 2e8", "batch;source=peeked;1e9 2e8;2e9 1e8"} {
 		want := PeekSource("dflt", line)
-		if err := r.IngestLine("dflt", line); err != nil {
+		if err := ingestLine(r, "dflt", line); err != nil {
 			t.Fatalf("ingest %q: %v", line, err)
 		}
 		if err := r.Drain(); err != nil {

@@ -181,16 +181,18 @@ func parseFinite(name, field string) (float64, error) {
 // validSource vets a wire-supplied source identifier: non-empty, bounded,
 // and free of control characters, spaces and commas (which would collide
 // with the line syntax and the CSV exports downstream).
-func validSource(id string) error {
-	if id == "" {
+// Every byte of a multi-byte UTF-8 rune is above 0x7f, so a bytewise scan
+// vets text ids and the raw ids of a row batch alike.
+func validSource[T ~string | ~[]byte](id T) error {
+	if len(id) == 0 {
 		return fmt.Errorf("%w: empty source id", ErrBadLine)
 	}
 	if len(id) > MaxSourceLen {
 		return fmt.Errorf("%w: source id longer than %d bytes", ErrBadLine, MaxSourceLen)
 	}
-	for _, r := range id {
-		if r <= 0x20 || r == 0x7f || r == ',' {
-			return fmt.Errorf("%w: source id contains %q", ErrBadLine, r)
+	for i := 0; i < len(id); i++ {
+		if c := id[i]; c <= 0x20 || c == 0x7f || c == ',' {
+			return fmt.Errorf("%w: source id contains %q", ErrBadLine, rune(c))
 		}
 	}
 	return nil

@@ -27,7 +27,6 @@ package ingest
 import (
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"math"
 	"sort"
 	"strings"
@@ -55,12 +54,16 @@ var (
 )
 
 // Config parameterizes a Registry. The zero value is usable: 8 shards,
-// 1024-sample queues, backpressure on full queues, the experiment-standard
+// 1024-unit queues, backpressure on full queues, the experiment-standard
 // monitor configuration, and a 65536-source cap.
 type Config struct {
 	// Shards is the number of single-goroutine monitor shards (0 selects 8).
 	Shards int
-	// QueueSize is the per-shard sample queue bound (0 selects 1024).
+	// QueueSize bounds each shard's queue twice over (0 selects 1024): at
+	// most QueueSize messages wait on it — a binary frame, a batch; line,
+	// or one read's lone-sample text lines for the shard make one message
+	// each — and those messages hold at most QueueSize lone-sample lines
+	// between them.
 	QueueSize int
 	// DropWhenFull selects drop-and-count over backpressure when a shard
 	// queue is full. The default (false) blocks the producer, which on the
@@ -104,7 +107,8 @@ type Config struct {
 	// snapshot_saved, ...). Nil disables.
 	Events *obs.Events
 	// TraceSampleEvery enables sampled pipeline tracing: one in every N
-	// ingested units (line, sample or batch) is timed through parse,
+	// shard messages (a frame, a batch; line, one read's lone-sample lines
+	// for a shard, or one Ingest call) is timed through parse,
 	// queue wait, detection and alert fan-out, feeding the
 	// agingmf_pipeline_stage_seconds histograms and the span ring served
 	// by /api/trace/export. 0 disables — the hot path then pays one nil
@@ -151,27 +155,88 @@ func (c Config) DetectorConfig() detect.Config {
 }
 
 // shardMsg is one unit of shard work, in exactly one of three forms: a
-// lone sample pair carried inline (free, swap), a pooled column batch
-// (a binary frame, or a batch; line transposed at the edge) that the
-// shard releases after use, or a control closure to run on the shard
-// goroutine (state snapshots use this to serialize with the sample
-// stream instead of locking the monitors). id is the unit's source in
-// either sample form. A lone pair stays inline because a prototype that
-// pooled one-sample batches instead raised perfbench's fleet-text-lines
-// daemon CPU per sample by 7–13% (2,692 → 2,868 and 2,682 → 3,020 ns,
-// two alternating pairs); fleet-text-lines and fleet-binary sit on
-// either side of this choice.
+// pooled row batch of lone samples (one read's single-sample text lines
+// for this shard, or one Ingest call), a pooled column batch of one
+// source (a binary frame, or a batch; line transposed at the edge), or a
+// control closure to run on the shard goroutine (state snapshots use
+// this to serialize with the sample stream instead of locking the
+// monitors). The shard releases either batch after use. Rows travel
+// together so that a read of many lines costs the shard one channel
+// handoff, one clock read and one round of counter updates, not one per
+// line: on perfbench's fleet-text-lines that cut daemon CPU per sample
+// by 28–44% (paired medians in CHANGES.md).
 type shardMsg struct {
-	id         string
-	free, swap float64
-	cols       *transport.ColumnarBatch
-	ctl        *ctlMsg
+	rows *rowBatch
+	cols *transport.ColumnarBatch
+	ctl  *ctlMsg
 
 	// seq is the tracer sequence of a sampled unit (0 = untraced) and
 	// enq its enqueue time (UnixNano), so the shard can measure the
 	// queue wait explicitly. 16 bytes per message, set only when traced.
 	seq uint64
 	enq int64
+}
+
+// source names the message's source for its spans: the column batch's,
+// or the first row's (a fresh string, so call it on traced paths only).
+func (m *shardMsg) source() string {
+	if m.cols != nil {
+		return m.cols.Source
+	}
+	return string(m.rows.ids[:m.rows.rows[0].end])
+}
+
+// rowBatch carries lone samples to one shard, in wire order. The source
+// ids are copied back to back into ids, so a queued batch holds no
+// reference to the read it was parsed from.
+type rowBatch struct {
+	ids  []byte
+	rows []row
+}
+
+// row is one lone sample. Its source id is ids[prev.end:end], where prev
+// is the row before it (the first row's id starts at 0).
+type row struct {
+	end        int
+	free, swap float64
+}
+
+var rowPool = sync.Pool{New: func() any { return new(rowBatch) }}
+
+// acquireRows takes an empty row batch from the pool.
+func acquireRows() *rowBatch { return rowPool.Get().(*rowBatch) }
+
+// release returns the batch to the pool; the caller must not touch it
+// afterwards.
+func (rb *rowBatch) release() {
+	rb.ids, rb.rows = rb.ids[:0], rb.rows[:0]
+	rowPool.Put(rb)
+}
+
+// add appends one sample of source id.
+func (rb *rowBatch) add(id string, free, swap float64) {
+	rb.ids = append(rb.ids, id...)
+	rb.rows = append(rb.rows, row{end: len(rb.ids), free: free, swap: swap})
+}
+
+// vet applies enqueue's checks to every row: a source id (ErrNoSource,
+// or ErrBadLine as the parsers report it) and finite values
+// (ErrBadSample).
+func (rb *rowBatch) vet() error {
+	start := 0
+	for _, rw := range rb.rows {
+		if err := vetSource(rb.ids[start:rw.end]); err != nil {
+			return err
+		}
+		// x-x is 0 exactly when x is finite (NaN and ±Inf both yield
+		// NaN, and NaN != 0), so one fused check rejects every
+		// non-finite value.
+		if d := rw.free - rw.free + rw.swap - rw.swap; d != 0 {
+			return ErrBadSample
+		}
+		start = rw.end
+	}
+	return nil
 }
 
 // ctlMsg runs fn on the owning shard goroutine and closes done after.
@@ -190,13 +255,20 @@ type shard struct {
 	sources map[string]*source // owned by the shard goroutine
 
 	accepted atomic.Uint64
-	depth    atomic.Int64
+	depth    atomic.Int64 // messages queued
+
+	// rows counts the lone samples queued in row batches, which enqueue
+	// keeps within QueueSize. room wakes one producer waiting for rows
+	// to drain (capacity 1: a wake-up is a hint to look again, not a
+	// count).
+	rows atomic.Int64
+	room chan struct{}
 
 	samplesCtr *obs.Counter
 	depthGauge *obs.Gauge
 
-	// Scratch owned by the shard goroutine: the 1-length columns an
-	// inline pair is handed to the kernels in, and the observed (traced /
+	// Scratch owned by the shard goroutine: the 1-length columns a row is
+	// handed to the kernels in, and the observed (traced /
 	// flight-recorded) path's annotator.
 	free, swap []float64
 	ann        transport.Annotator
@@ -330,6 +402,9 @@ type Registry struct {
 	directMu sync.Mutex // serializes post-drain direct shard access
 
 	maxSourcesWarned atomic.Bool
+
+	// pending pools IngestLines' per-shard scratch (*[]pendingRows).
+	pending sync.Pool
 }
 
 // NewRegistry builds and starts a registry: shard goroutines are running
@@ -352,13 +427,20 @@ func NewRegistry(cfg Config) (*Registry, error) {
 		}),
 	}
 	r.bus = control.NewBus(cfg.AlertRing, r.met.alertDropsFleet)
+	r.pending.New = func() any {
+		p := make([]pendingRows, cfg.Shards)
+		return &p
+	}
 	r.shards = make([]*shard, cfg.Shards)
 	for i := range r.shards {
 		r.shards[i] = &shard{
 			id:         i,
 			reg:        r,
 			ch:         make(chan shardMsg, cfg.QueueSize),
+			room:       make(chan struct{}, 1),
 			sources:    make(map[string]*source),
+			free:       make([]float64, 1),
+			swap:       make([]float64, 1),
 			samplesCtr: r.met.samples.With(fmt.Sprint(i)),
 			depthGauge: r.met.queueDepth.With(fmt.Sprint(i)),
 		}
@@ -393,18 +475,25 @@ func (r *Registry) Config() Config { return r.cfg }
 // Alerts returns the registry's alert bus.
 func (r *Registry) Alerts() *control.Bus { return r.bus }
 
-// shardIndex hashes a source id onto a shard (FNV-1a).
+// shardIndex hashes a source id onto a shard (64-bit FNV-1a, written out
+// so that hashing a line's id allocates nothing).
 func (r *Registry) shardIndex(id string) int {
-	h := fnv.New64a()
-	_, _ = h.Write([]byte(id))
-	return int(h.Sum64() % uint64(len(r.shards)))
+	h := uint64(14695981039346656037)
+	for i := 0; i < len(id); i++ {
+		h ^= uint64(id[i])
+		h *= 1099511628211
+	}
+	return int(h % uint64(len(r.shards)))
 }
 
-// Ingest routes one sample to its source's shard. In the default mode a
-// full shard queue blocks (backpressure); with DropWhenFull it returns
-// ErrQueueFull and counts the drop. After Close it returns ErrClosed.
+// Ingest routes one sample to its source's shard, as a one-row message.
+// In the default mode a full shard queue blocks (backpressure); with
+// DropWhenFull it returns ErrQueueFull and counts the drop. After Close
+// it returns ErrClosed.
 func (r *Registry) Ingest(s Sample) error {
-	return r.enqueue(shardMsg{id: s.Source, free: s.Free, swap: s.Swap}, r.tr.Sample())
+	rb := acquireRows()
+	rb.add(s.Source, s.Free, s.Swap)
+	return r.enqueue(r.shardIndex(s.Source), shardMsg{rows: rb}, r.tr.Sample())
 }
 
 // IngestColumns routes one columnar batch (the decoded form of a binary
@@ -425,73 +514,209 @@ func (r *Registry) Ingest(s Sample) error {
 // a full shard queue blocks the producer (or drops all of it, counted,
 // with DropWhenFull).
 func (r *Registry) IngestColumns(cb *transport.ColumnarBatch) error {
-	return r.enqueue(shardMsg{id: cb.Source, cols: cb}, r.tr.Sample())
+	return r.enqueue(r.shardIndex(cb.Source), shardMsg{cols: cb}, r.tr.Sample())
 }
 
-// IngestLine parses one wire line — single-sample or batch;-framed — and
-// routes it. Lines without a source= field are attributed to
-// defaultSource. Blank lines and '#' comments are accepted and ignored
-// (keep-alives). A batch line becomes a pooled column batch here, at the
-// edge, so from the queue on it takes exactly the path of a binary
-// frame.
-func (r *Registry) IngestLine(defaultSource, line string) error {
-	trimmed := trimLine(line)
-	if trimmed == "" {
-		return nil
+// IngestLines routes the wire lines of one read, in order: the text
+// method of Router. Single-sample lines are parsed and grouped by shard,
+// and each shard gets one row message for the call (a further one every
+// QueueSize rows), so a read of many lines costs a shard one queue
+// handoff rather than one per line. A batch; line becomes a pooled
+// column batch here, at the edge, and goes as its own message right
+// after the rows its shard already holds from this call, so every
+// source's samples keep their wire order. The call routes what it was
+// given and returns; it never waits for more input.
+//
+// Lines without a source= field are attributed to defaultSource. Blank
+// lines and '#' comments are keep-alives, neither accepted nor rejected.
+// It returns how many lines were accepted. Every other line goes to
+// reject, when non-nil, with its reason: a parse error (counted in
+// BadLines), a vetting error, or ErrQueueFull for a line dropped with
+// its message. At ErrClosed it stops and returns it; the lines not yet
+// routed are neither accepted nor rejected.
+func (r *Registry) IngestLines(defaultSource string, lines []string, reject func(line string, err error)) (accepted int, err error) {
+	if reject == nil {
+		reject = func(string, error) {}
 	}
+	dfltErr := vetSource(defaultSource)
+	pp := r.pending.Get().(*[]pendingRows)
+	pend := *pp
+	defer func() {
+		for k := range pend {
+			if rb := pend[k].rb; rb != nil {
+				rb.release()
+				pend[k].rb = nil
+			}
+			clear(pend[k].lines)
+			pend[k].lines = pend[k].lines[:0]
+		}
+		r.pending.Put(pp)
+	}()
+	// One parse clock for the whole read, read only when tracing: a
+	// traced row message's parse span is the read's parse up to its send.
+	var parseStart time.Time
+	if r.tr != nil {
+		parseStart = time.Now()
+	}
+	for _, line := range lines {
+		t := trimLine(line)
+		if t == "" {
+			continue
+		}
+		if strings.HasPrefix(t, BatchPrefix) {
+			n, err := r.ingestBatchLine(defaultSource, line, t, pend, parseStart, reject)
+			accepted += n
+			if err != nil {
+				return accepted, err
+			}
+			continue
+		}
+		s, perr := ParseLine(t)
+		if perr != nil {
+			r.countBadLine()
+			reject(line, perr)
+			continue
+		}
+		if s.Source == "" {
+			if dfltErr != nil {
+				reject(line, dfltErr)
+				continue
+			}
+			s.Source = defaultSource
+		}
+		k := r.shardIndex(s.Source)
+		p := &pend[k]
+		if p.rb == nil {
+			p.rb = acquireRows()
+		}
+		p.rb.add(s.Source, s.Free, s.Swap)
+		p.lines = append(p.lines, line)
+		if len(p.lines) == r.cfg.QueueSize {
+			n, err := r.sendRows(k, p, parseStart, reject)
+			accepted += n
+			if err != nil {
+				return accepted, err
+			}
+		}
+	}
+	for k := range pend {
+		n, err := r.sendRows(k, &pend[k], parseStart, reject)
+		accepted += n
+		if err != nil {
+			return accepted, err
+		}
+	}
+	return accepted, nil
+}
+
+// pendingRows is one shard's share of an IngestLines call not yet sent:
+// its rows, and the line each came from (for reject).
+type pendingRows struct {
+	rb    *rowBatch
+	lines []string
+}
+
+// ingestBatchLine routes one trimmed batch; line t (raw: the line as
+// read) for IngestLines, behind the rows its shard holds from the same
+// call. It returns how many lines it accepted: the held rows, and the
+// batch line.
+func (r *Registry) ingestBatchLine(defaultSource, raw, t string, pend []pendingRows, parseStart time.Time, reject func(string, error)) (int, error) {
 	// One tracer draw covers the whole unit — parse, queue wait and the
 	// shard-side stages all share this sequence number.
 	seq := r.tr.Sample()
-	var parseStart time.Time
+	var start time.Time
 	if seq != 0 {
-		parseStart = time.Now()
+		start = time.Now()
 	}
-	msg, err := parseUnit(trimmed)
+	cb, err := parseBatchLine(t)
 	if err != nil {
-		r.badLines.Add(1)
-		r.met.badLines.Inc()
-		return err
+		r.countBadLine()
+		reject(raw, err)
+		return 0, nil
 	}
-	if msg.id == "" {
-		msg.id = defaultSource
+	if cb.Source == "" {
+		cb.Source = defaultSource
 	}
+	k := r.shardIndex(cb.Source)
 	if seq != 0 {
-		r.tr.Record(trace.StageParse, msg.id, r.shardIndex(msg.id), seq, parseStart, time.Since(parseStart))
+		r.tr.Record(trace.StageParse, cb.Source, k, seq, start, time.Since(start))
 	}
-	return r.enqueue(msg, seq)
+	accepted, err := r.sendRows(k, &pend[k], parseStart, reject)
+	if err != nil {
+		cb.Release()
+		return accepted, err
+	}
+	switch err := r.enqueue(k, shardMsg{cols: cb}, seq); {
+	case err == nil:
+		accepted++
+	case errors.Is(err, ErrClosed):
+		return accepted, err
+	default:
+		reject(raw, err)
+	}
+	return accepted, nil
 }
 
-// parseUnit parses one trimmed wire line into a shard unit: a sample
-// line into an inline pair, a batch; line into a pooled column batch —
-// the form a binary frame decodes to.
-func parseUnit(line string) (shardMsg, error) {
-	if !strings.HasPrefix(line, BatchPrefix) {
-		s, err := ParseLine(line)
-		return shardMsg{id: s.Source, free: s.Free, swap: s.Swap}, err
+// sendRows enqueues the rows shard k holds from an IngestLines call as
+// one message and returns how many lines that accepted. A message that
+// is refused (ErrQueueFull, or a row failing enqueue's vetting) rejects
+// every line it carried; ErrClosed is returned.
+func (r *Registry) sendRows(k int, p *pendingRows, parseStart time.Time, reject func(string, error)) (int, error) {
+	rb := p.rb
+	if rb == nil {
+		return 0, nil
 	}
+	p.rb = nil
+	seq := r.tr.Sample()
+	if seq != 0 {
+		r.tr.Record(trace.StageParse, string(rb.ids[:rb.rows[0].end]), k, seq, parseStart, time.Since(parseStart))
+	}
+	defer func() {
+		clear(p.lines) // the lines point into the caller's read
+		p.lines = p.lines[:0]
+	}()
+	switch err := r.enqueue(k, shardMsg{rows: rb}, seq); {
+	case err == nil:
+		return len(p.lines), nil
+	case errors.Is(err, ErrClosed):
+		return 0, err
+	default:
+		for _, line := range p.lines {
+			reject(line, err)
+		}
+		return 0, nil
+	}
+}
+
+// parseBatchLine transposes one trimmed batch; line into a pooled column
+// batch — the form a binary frame decodes to. The source id is copied,
+// so the batch holds no reference to the read it was parsed from.
+func parseBatchLine(line string) (*transport.ColumnarBatch, error) {
 	b, err := ParseBatch(line)
 	if err != nil {
-		return shardMsg{}, err
+		return nil, err
 	}
 	cb := transport.AcquireColumnarBatch()
-	cb.Source = b.Source
+	cb.Source = strings.Clone(b.Source)
 	for _, p := range b.Pairs {
 		cb.Free = append(cb.Free, p[0])
 		cb.Swap = append(cb.Swap, p[1])
 	}
-	return shardMsg{id: b.Source, cols: cb}, nil
+	return cb, nil
 }
 
-// enqueue is the one way a unit of samples — an inline pair or a column
-// batch of n — crosses into its source's shard, whichever wire it came
-// from. It vets the source id (ErrNoSource, or ErrBadLine as the parsers
-// do) and every value (ErrBadSample), registers the sender against
-// Close, and applies backpressure or, with DropWhenFull, drops the unit
-// whole, counting all n samples. A batch is never split. The registry
-// owns msg.cols from here: a unit that does not reach a shard is
-// released on the way out, and an empty one is a no-op.
-func (r *Registry) enqueue(msg shardMsg, seq uint64) (err error) {
-	n := 1
+// enqueue is the one way a unit of samples — a row batch of lone samples,
+// or a column batch of one source — crosses into shard k, whichever wire
+// it came from. It vets every source id (ErrNoSource, or ErrBadLine as
+// the parsers do) and every value (ErrBadSample), registers the sender
+// against Close, keeps the shard's queued rows within QueueSize, and
+// applies backpressure or, with DropWhenFull, drops the unit, counting
+// every sample it carried. A unit is never split: one bad row or value
+// rejects it whole. The registry owns the batch from here: a unit that
+// does not reach the shard is released on the way out, and an empty one
+// is a no-op.
+func (r *Registry) enqueue(k int, msg shardMsg, seq uint64) (err error) {
+	var n int
 	if cb := msg.cols; cb != nil {
 		n = cb.Len()
 		defer func() {
@@ -502,17 +727,26 @@ func (r *Registry) enqueue(msg shardMsg, seq uint64) (err error) {
 		if n == 0 {
 			return nil
 		}
-	}
-	if msg.id == "" {
-		return ErrNoSource
-	}
-	if err := validSource(msg.id); err != nil {
-		return err
-	}
-	// x-x is 0 exactly when x is finite (NaN and ±Inf both yield NaN,
-	// and NaN != 0), so one fused check rejects every non-finite value.
-	if d := msg.free - msg.free + msg.swap - msg.swap; d != 0 || (msg.cols != nil && !finite(msg.cols)) {
-		return ErrBadSample
+		if err := vetSource(cb.Source); err != nil {
+			return err
+		}
+		if !finite(cb) {
+			return ErrBadSample
+		}
+	} else {
+		rb := msg.rows
+		n = len(rb.rows)
+		defer func() {
+			if err != nil || n == 0 {
+				rb.release()
+			}
+		}()
+		if n == 0 {
+			return nil
+		}
+		if err := rb.vet(); err != nil {
+			return err
+		}
 	}
 	// Sender registration is an atomic counter, not a WaitGroup: a
 	// WaitGroup Add racing a parked Wait is a documented misuse panic,
@@ -526,7 +760,19 @@ func (r *Registry) enqueue(msg shardMsg, seq uint64) (err error) {
 		r.dropN("shutdown", n)
 		return ErrClosed
 	}
-	sh := r.shards[r.shardIndex(msg.id)]
+	sh := r.shards[k]
+	rows := 0
+	if msg.rows != nil {
+		if err := r.reserveRows(sh, n); err != nil {
+			reason := "shutdown"
+			if errors.Is(err, ErrQueueFull) {
+				reason = "queue_full"
+			}
+			r.dropN(reason, n)
+			return err
+		}
+		rows = n
+	}
 	if seq != 0 {
 		msg.seq, msg.enq = seq, time.Now().UnixNano()
 	}
@@ -534,6 +780,7 @@ func (r *Registry) enqueue(msg shardMsg, seq uint64) (err error) {
 		select {
 		case sh.ch <- msg:
 		default:
+			sh.freeRows(rows)
 			r.dropN("queue_full", n)
 			return ErrQueueFull
 		}
@@ -541,6 +788,7 @@ func (r *Registry) enqueue(msg shardMsg, seq uint64) (err error) {
 		select {
 		case sh.ch <- msg:
 		case <-r.stopc:
+			sh.freeRows(rows)
 			r.dropN("shutdown", n)
 			return ErrClosed
 		}
@@ -549,8 +797,67 @@ func (r *Registry) enqueue(msg shardMsg, seq uint64) (err error) {
 	return nil
 }
 
+// vetSource is enqueue's source check: ErrNoSource for an empty id, and
+// validSource's verdict otherwise.
+func vetSource[T ~string | ~[]byte](id T) error {
+	if len(id) == 0 {
+		return ErrNoSource
+	}
+	return validSource(id)
+}
+
+// reserveRows claims n of shard sh's QueueSize row slots; n is at most
+// QueueSize, since IngestLines sends a shard's rows in messages of at
+// most that many. Without room it fails with ErrQueueFull under
+// DropWhenFull, and otherwise waits for the shard to drain rows, or for
+// Close (ErrClosed).
+func (r *Registry) reserveRows(sh *shard, n int) error {
+	want, limit := int64(n), int64(r.cfg.QueueSize)
+	waited := false
+	for {
+		cur := sh.rows.Load()
+		if cur+want <= limit {
+			if !sh.rows.CompareAndSwap(cur, cur+want) {
+				continue
+			}
+			if waited && cur+want < limit {
+				// This producer took the wake-up; pass it on, since
+				// another may fit in what is left.
+				sh.wake()
+			}
+			return nil
+		}
+		if r.cfg.DropWhenFull {
+			return ErrQueueFull
+		}
+		waited = true
+		select {
+		case <-sh.room:
+		case <-r.stopc:
+			return ErrClosed
+		}
+	}
+}
+
+// freeRows returns n row slots and wakes a producer waiting for them.
+func (sh *shard) freeRows(n int) {
+	if n == 0 {
+		return
+	}
+	sh.rows.Add(-int64(n))
+	sh.wake()
+}
+
+// wake nudges one producer waiting in reserveRows, if any.
+func (sh *shard) wake() {
+	select {
+	case sh.room <- struct{}{}:
+	default:
+	}
+}
+
 // finite reports whether every value of the batch is finite (see the
-// fused check in enqueue).
+// fused check in rowBatch.vet).
 func finite(cb *transport.ColumnarBatch) bool {
 	for i := range cb.Free {
 		if d := cb.Free[i] - cb.Free[i] + cb.Swap[i] - cb.Swap[i]; d != 0 {
@@ -574,6 +881,12 @@ func trimLine(line string) string {
 func (r *Registry) dropN(reason string, n int) {
 	r.dropped.Add(uint64(n))
 	r.met.dropped.With(reason).Add(uint64(n))
+}
+
+// countBadLine counts one malformed wire line.
+func (r *Registry) countBadLine() {
+	r.badLines.Add(1)
+	r.met.badLines.Inc()
 }
 
 // Accepted returns the number of samples consumed by monitors.
@@ -831,9 +1144,13 @@ func (r *Registry) publishAlert(a control.Alert) {
 
 // run is the shard goroutine: it consumes samples and control messages
 // until the channel closes (Close drains what is queued first), then
-// stops this shard's watchdogs.
+// stops this shard's watchdogs. What a message costs apart from its
+// sources — the clock read, the depth gauge, the accepted counters and
+// the handle-seconds observation — is paid once per message, however
+// many rows it carries.
 func (sh *shard) run() {
 	defer sh.reg.wg.Done()
+	r := sh.reg
 	for msg := range sh.ch {
 		if msg.ctl != nil {
 			// Control messages are not counted on enqueue, so they must
@@ -844,22 +1161,30 @@ func (sh *shard) run() {
 			close(msg.ctl.done)
 			continue
 		}
+		now := time.Now()
 		sh.depthGauge.Set(float64(sh.depth.Add(-1)))
 		if msg.seq != 0 {
 			// The queue-wait span: enqueue time travels in the message so
 			// the wait is measured explicitly, not inferred from depth.
 			enq := time.Unix(0, msg.enq)
-			sh.reg.tr.Record(trace.StageQueue, msg.id, sh.id, msg.seq, enq, time.Since(enq))
-			sh.reg.tr.QueueDepth(sh.id, sh.depth.Load())
+			r.tr.Record(trace.StageQueue, msg.source(), sh.id, msg.seq, enq, now.Sub(enq))
+			r.tr.QueueDepth(sh.id, sh.depth.Load())
 		}
+		var n int
 		if cb := msg.cols; cb != nil {
-			sh.handleCols(msg.id, cb.Free, cb.Swap, msg.seq)
+			n = sh.handleCols(cb.Source, cb.Free, cb.Swap, now.UnixNano(), msg.seq)
 			cb.Release()
-			continue
+		} else {
+			n = sh.handleRows(msg.rows, now.UnixNano(), msg.seq)
+			sh.freeRows(len(msg.rows.rows))
+			msg.rows.release()
 		}
-		sh.free = append(sh.free[:0], msg.free)
-		sh.swap = append(sh.swap[:0], msg.swap)
-		sh.handleCols(msg.id, sh.free, sh.swap, msg.seq)
+		sh.accepted.Add(uint64(n))
+		sh.samplesCtr.Add(uint64(n))
+		r.accepted.Add(uint64(n))
+		if r.cfg.Obs != nil {
+			r.met.handleSec.Observe(time.Since(now).Seconds())
+		}
 	}
 	for _, src := range sh.sources {
 		src.wd.Stop()
@@ -897,25 +1222,50 @@ func (sh *shard) resolve(id string, n int) *source {
 	return src
 }
 
-// handleCols is the one detection path of every unit — a sample, a text
-// batch, a binary frame — and the single-writer hot path: no locks are
-// taken, since the set is goroutine-owned and the status mirror is
-// atomics. It resolves the source, folds the columns through its
-// detector set's column kernels and publishes. A traced or recorded unit
-// runs the same kernels, annotated (see transport.Annotator), so turning
-// observability on never switches the code under observation. Verdicts
-// are identical to feeding the pairs one at a time.
-func (sh *shard) handleCols(id string, free, swap []float64, seq uint64) {
+// handleRows folds each row of a row batch into its source, in order,
+// with wall (UnixNano) as the commit time of all of them. It returns how
+// many rows reached a monitor.
+func (sh *shard) handleRows(rb *rowBatch, wall int64, seq uint64) int {
+	n, start := 0, 0
+	for _, rw := range rb.rows {
+		id := rb.ids[start:rw.end]
+		start = rw.end
+		src, ok := sh.sources[string(id)]
+		if !ok {
+			if src = sh.resolve(string(id), 1); src == nil {
+				continue
+			}
+		}
+		sh.free[0], sh.swap[0] = rw.free, rw.swap
+		sh.fold(src, sh.free, sh.swap, wall, seq)
+		n++
+	}
+	return n
+}
+
+// handleCols folds one source's column batch — a binary frame or a
+// batch; line — into that source, committed at wall (UnixNano). It
+// returns how many samples reached a monitor.
+func (sh *shard) handleCols(id string, free, swap []float64, wall int64, seq uint64) int {
+	src := sh.resolve(id, len(free))
+	if src == nil {
+		return 0
+	}
+	sh.fold(src, free, swap, wall, seq)
+	return len(free)
+}
+
+// fold is the one detection path of every unit — a row, a text batch, a
+// binary frame — and the single-writer hot path: no locks are taken,
+// since the set is goroutine-owned and the status mirror is atomics. It
+// folds the columns through the source's detector set's column kernels
+// and publishes. A traced or recorded unit runs the same kernels,
+// annotated (see transport.Annotator), so turning observability on never
+// switches the code under observation. Verdicts are identical to feeding
+// the pairs one at a time.
+func (sh *shard) fold(src *source, free, swap []float64, wall int64, seq uint64) {
 	r := sh.reg
 	n := len(free)
-	src := sh.resolve(id, n)
-	if src == nil {
-		return
-	}
-	var start time.Time
-	if r.cfg.Obs != nil || seq != 0 {
-		start = time.Now()
-	}
 	var events []detect.Event
 	if seq == 0 && src.fr == nil {
 		events = src.mon.AddColumns(free, swap)
@@ -927,25 +1277,22 @@ func (sh *shard) handleCols(id string, free, swap []float64, seq uint64) {
 				sh.ann.Jump(ev.Sample, src.mon.Ladder(ev))
 			}
 		}
-		sh.ann.End(free, swap, r.tr, src.fr, src.id, sh.id)
+		sh.ann.End(free, swap, wall, r.tr, src.fr, src.id, sh.id)
 	}
-	sh.commit(src, events, free[n-1], swap[n-1], n, start, seq)
+	sh.commit(src, events, free[n-1], swap[n-1], n, wall, seq)
 }
 
-// commit publishes the post-Add bookkeeping shared by the single-sample
-// and batch paths: status mirrors, counters, watchdog, and alerts for n
-// newly ingested samples whose most recent pair is (free, swap). Every
-// event carries its emitting detector's label into the alert stream, so
-// two detectors firing on one tick yield two distinguishable alerts.
-func (sh *shard) commit(src *source, events []detect.Event, free, swap float64, n int, start time.Time, seq uint64) {
+// commit publishes one source's post-Add bookkeeping: status mirrors,
+// watchdog, and alerts for n newly ingested samples whose most recent
+// pair is (free, swap), committed at wall (UnixNano). Every event carries
+// its emitting detector's label into the alert stream, so two detectors
+// firing on one tick yield two distinguishable alerts.
+func (sh *shard) commit(src *source, events []detect.Event, free, swap float64, n int, wall int64, seq uint64) {
 	r := sh.reg
 	src.samples.Add(int64(n))
 	src.lastFree.Store(math.Float64bits(free))
 	src.lastSwap.Store(math.Float64bits(swap))
-	src.lastSeen.Store(time.Now().UnixNano())
-	sh.accepted.Add(uint64(n))
-	sh.samplesCtr.Add(uint64(n))
-	r.accepted.Add(uint64(n))
+	src.lastSeen.Store(wall)
 	var alertStart time.Time
 	if seq != 0 {
 		alertStart = time.Now()
@@ -985,8 +1332,5 @@ func (sh *shard) commit(src *source, events []detect.Event, free, swap float64, 
 	}
 	if seq != 0 {
 		r.tr.Record(trace.StageAlerts, src.id, sh.id, seq, alertStart, time.Since(alertStart))
-	}
-	if r.cfg.Obs != nil {
-		r.met.handleSec.Observe(time.Since(start).Seconds())
 	}
 }

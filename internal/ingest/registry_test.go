@@ -176,6 +176,16 @@ func TestRegistryIngestValidation(t *testing.T) {
 	}
 }
 
+// ingestLine routes one wire line through IngestLines and returns its
+// error: the one it was rejected with, or ErrClosed.
+func ingestLine(r *Registry, defaultSource, line string) error {
+	var lineErr error
+	if _, err := r.IngestLines(defaultSource, []string{line}, func(_ string, err error) { lineErr = err }); err != nil {
+		return err
+	}
+	return lineErr
+}
+
 func TestRegistryIngestLine(t *testing.T) {
 	r, err := NewRegistry(Config{Shards: 1, Monitor: testMonitorConfig()})
 	if err != nil {
@@ -184,11 +194,11 @@ func TestRegistryIngestLine(t *testing.T) {
 	defer r.Close()
 	// Keep-alives are accepted silently.
 	for _, line := range []string{"", "   ", "# comment"} {
-		if err := r.IngestLine("peer", line); err != nil {
+		if err := ingestLine(r, "peer", line); err != nil {
 			t.Errorf("keep-alive %q: %v", line, err)
 		}
 	}
-	if err := r.IngestLine("peer", "not a sample"); err == nil {
+	if err := ingestLine(r, "peer", "not a sample"); err == nil {
 		t.Error("malformed line accepted")
 	}
 	if r.BadLines() != 1 {
@@ -196,10 +206,10 @@ func TestRegistryIngestLine(t *testing.T) {
 	}
 	// Source-less lines are attributed to the default source; explicit
 	// source= wins.
-	if err := r.IngestLine("peer", "1e6 2048"); err != nil {
+	if err := ingestLine(r, "peer", "1e6 2048"); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.IngestLine("peer", "source=explicit 1e6 2048"); err != nil {
+	if err := ingestLine(r, "peer", "source=explicit 1e6 2048"); err != nil {
 		t.Fatal(err)
 	}
 	if err := r.Close(); err != nil {

@@ -2,6 +2,7 @@ package ingest
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -10,6 +11,7 @@ import (
 	"net"
 	"net/http"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -29,8 +31,11 @@ type ServerConfig struct {
 	// HTTPAddr is the API listener address, serving POST /ingest, the
 	// /api endpoints, /metrics and /healthz (empty disables).
 	HTTPAddr string
-	// MaxLineBytes bounds one wire line (0 selects 64 KiB). Longer lines
-	// poison the connection (counted, then closed).
+	// MaxLineBytes bounds one wire line, not counting its "\n" or
+	// "\r\n", and one binary frame (0 selects 64 KiB). A longer line or
+	// frame poisons the connection: it is counted (BadLines, or BadFrames
+	// as too_large), then the connection is closed (POST /ingest answers
+	// 400).
 	MaxLineBytes int
 	// MaxBadLines is the per-connection malformed-line budget; past it
 	// the connection is closed (0 selects 100, negative means unlimited).
@@ -91,13 +96,14 @@ type Server struct {
 	stalledShards atomic.Int32  // shards holding queued work without progress
 }
 
-// Router takes every unit the transports read: text wire lines, and
-// binary-wire frames in decoded form (taking ownership of each batch —
-// route, forward or Release). The Registry is one; the cluster node is
-// the other, routing units to their owning peer instead of the local
-// registry.
+// Router takes every unit the transports read: the text wire lines of
+// each read (TCP and POST /ingest alike; see Registry.IngestLines for
+// the contract), and binary-wire frames in decoded form (taking
+// ownership of each batch — route, forward or Release). The Registry is
+// one; the cluster node is the other, routing each line to its owning
+// peer instead of the local registry.
 type Router interface {
-	IngestLine(defaultSource, line string) error
+	IngestLines(defaultSource string, lines []string, reject func(line string, err error)) (accepted int, err error)
 	IngestColumns(cb *transport.ColumnarBatch) error
 }
 
@@ -358,52 +364,145 @@ func (s *Server) handleConn(conn net.Conn) {
 	s.serveLines(conn, br, defaultSource)
 }
 
-// serveLines consumes one text line-protocol connection. Lines without
-// a source= field are attributed to the peer's host. Malformed lines
-// are counted against the connection's budget; exceeding it (or the
-// line length bound, or the idle timeout) closes the connection. A
-// closed or mid-stream-reset connection is normal fleet behaviour, not
-// an error.
+// serveLines consumes one text line-protocol connection, handing the
+// router every line of each read at once. Lines without a source= field
+// are attributed to the peer's host. Malformed lines are counted against
+// the connection's budget; exceeding it (checked after each read), the
+// line length bound or the idle timeout closes the connection. A closed
+// or mid-stream-reset connection is normal fleet behaviour, not an
+// error.
 func (s *Server) serveLines(conn net.Conn, br *bufio.Reader, defaultSource string) {
-	sc := bufio.NewScanner(br)
-	sc.Buffer(make([]byte, 0, 4096), s.cfg.MaxLineBytes)
 	bad := 0
+	reject := func(line string, err error) {
+		if errors.Is(err, ErrQueueFull) {
+			// Drop already counted; in drop mode the producer is not
+			// throttled, so keep reading.
+			return
+		}
+		bad++
+		s.ev.Warn("ingest_bad_line", obs.Fields{
+			"peer":  conn.RemoteAddr().String(),
+			"line":  truncate(line, 64),
+			"error": err.Error(),
+		})
+	}
+	lr := newLineReader(br, s.cfg.MaxLineBytes)
 	for {
 		if s.cfg.IdleTimeout > 0 {
 			_ = conn.SetReadDeadline(time.Now().Add(s.cfg.IdleTimeout))
 		}
-		if !sc.Scan() {
+		lines, err := lr.next()
+		if err != nil {
 			// EOF, reset, eviction by deadline, or an over-long line —
-			// all are expected producer behaviour; the scanner error is
-			// surfaced as an event below for the curious.
-			if err := sc.Err(); err != nil && !s.stopping.Load() {
-				s.ev.Info("ingest_conn_error", obs.Fields{
-					"peer": conn.RemoteAddr().String(), "error": err.Error(),
-				})
+			// all are expected producer behaviour; anything but EOF is
+			// surfaced as an event for the curious.
+			if errors.Is(err, errLineTooLong) {
+				s.reg.countBadLine()
+			}
+			if !errors.Is(err, io.EOF) {
+				s.connEvent(conn, err)
 			}
 			return
 		}
-		err := s.router.IngestLine(defaultSource, sc.Text())
-		switch {
-		case err == nil:
-		case errors.Is(err, ErrClosed):
+		if _, err := s.router.IngestLines(defaultSource, lines, reject); err != nil {
+			return // the registry is closing
+		}
+		if s.cfg.MaxBadLines >= 0 && bad > s.cfg.MaxBadLines {
+			fmt.Fprintf(conn, "ERR too many malformed lines (%d)\n", bad)
 			return
-		case errors.Is(err, ErrQueueFull):
-			// Drop already counted; in drop mode the producer is not
-			// throttled, so keep reading.
-		default:
-			bad++
-			s.ev.Warn("ingest_bad_line", obs.Fields{
-				"peer":  conn.RemoteAddr().String(),
-				"line":  truncate(sc.Text(), 64),
-				"error": err.Error(),
-			})
-			if s.cfg.MaxBadLines >= 0 && bad > s.cfg.MaxBadLines {
-				fmt.Fprintf(conn, "ERR too many malformed lines (%d)\n", bad)
-				return
-			}
 		}
 	}
+}
+
+// errLineTooLong reports a text line longer than MaxLineBytes.
+var errLineTooLong = errors.New("ingest: line longer than MaxLineBytes")
+
+// lineReadSize is lineReader's read buffer: one read of a busy
+// connection yields a few hundred lines, the batch IngestLines spreads
+// over the shards.
+const lineReadSize = 16 << 10
+
+// lineReader cuts a text stream into lines, handing out every line one
+// read completed at once. Lines lose their "\n" or "\r\n"; a last line
+// without a newline counts at EOF. A line longer than max bytes ends the
+// stream with errLineTooLong, after the lines before it.
+type lineReader struct {
+	rd    io.Reader
+	max   int
+	buf   []byte // buf[:n] is the unfinished line
+	n     int
+	err   error // sticky: returned once the lines before it are out
+	lines []string
+}
+
+func newLineReader(rd io.Reader, max int) *lineReader {
+	return &lineReader{rd: rd, max: max, buf: make([]byte, lineReadSize)}
+}
+
+// next returns the lines of the next read that completed any. The slice
+// is reused by the following call.
+func (lr *lineReader) next() ([]string, error) {
+	for lr.err == nil {
+		if lr.n == len(lr.buf) {
+			// The unfinished line fills the buffer. It is at most max+1
+			// bytes (a longer one has failed below), so max+2 bytes hold
+			// it and the next byte.
+			buf := make([]byte, min(2*len(lr.buf), lr.max+2))
+			copy(buf, lr.buf[:lr.n])
+			lr.buf = buf
+		}
+		m, err := lr.rd.Read(lr.buf[lr.n:])
+		lr.err = err
+		end := lr.n + m
+		cut := bytes.LastIndexByte(lr.buf[lr.n:end], '\n')
+		if cut < 0 {
+			lr.n = end
+			lr.checkUnfinished()
+			continue
+		}
+		cut += lr.n
+		text := string(lr.buf[:cut]) // one copy per read; lines share it
+		lr.n = copy(lr.buf, lr.buf[cut+1:end])
+		lines := lr.split(text)
+		lr.checkUnfinished()
+		if len(lines) > 0 {
+			return lines, nil
+		}
+	}
+	if lr.n > 0 && errors.Is(lr.err, io.EOF) {
+		// The stream ended cleanly inside a line: that is the last line.
+		// A reset or timeout mid-line drops it instead.
+		text := string(lr.buf[:lr.n])
+		lr.n = 0
+		if lines := lr.split(text); len(lines) > 0 {
+			return lines, nil
+		}
+	}
+	return nil, lr.err
+}
+
+// checkUnfinished fails the stream once the unfinished line is longer
+// than max bytes plus a possible '\r'.
+func (lr *lineReader) checkUnfinished() {
+	if lr.n > lr.max+1 {
+		lr.n, lr.err = 0, errLineTooLong
+	}
+}
+
+// split cuts text into lines, stopping at the first over-long one.
+func (lr *lineReader) split(text string) []string {
+	lr.lines = lr.lines[:0]
+	for more := true; more; {
+		var line string
+		line, text, more = strings.Cut(text, "\n")
+		line = strings.TrimSuffix(line, "\r")
+		if len(line) > lr.max {
+			lr.n, lr.err = 0, errLineTooLong
+			break
+		}
+		lr.lines = append(lr.lines, line)
+	}
+	return lr.lines
 }
 
 // serveFrames consumes one binary frame-protocol connection. Each frame
@@ -612,8 +711,8 @@ func (s *Server) health() error {
 	return nil
 }
 
-// handleIngest consumes wire lines from a POST body. The default source
-// for source-less lines is ?source=, else the peer host.
+// handleIngest consumes wire lines from a POST body, read by read. The
+// default source for source-less lines is ?source=, else the peer host.
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	s.reg.met.conns.With("http").Inc()
 	defaultSource := r.URL.Query().Get("source")
@@ -623,26 +722,27 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	sc := bufio.NewScanner(r.Body)
-	sc.Buffer(make([]byte, 0, 4096), s.cfg.MaxLineBytes)
 	accepted, rejected := 0, 0
-	for sc.Scan() {
-		if trimLine(sc.Text()) == "" {
-			continue
+	reject := func(string, error) { rejected++ }
+	lr := newLineReader(r.Body, s.cfg.MaxLineBytes)
+	for {
+		lines, err := lr.next()
+		if errors.Is(err, io.EOF) {
+			break
 		}
-		switch err := s.router.IngestLine(defaultSource, sc.Text()); {
-		case err == nil:
-			accepted++
-		case errors.Is(err, ErrClosed):
+		if err != nil {
+			if errors.Is(err, errLineTooLong) {
+				s.reg.countBadLine()
+			}
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		n, err := s.router.IngestLines(defaultSource, lines, reject)
+		accepted += n
+		if err != nil {
 			http.Error(w, "draining", http.StatusServiceUnavailable)
 			return
-		default:
-			rejected++
 		}
-	}
-	if err := sc.Err(); err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
 	}
 	status := http.StatusOK
 	if accepted == 0 && rejected > 0 {

@@ -41,11 +41,11 @@ func TestRegistryTraceThreadingEndToEnd(t *testing.T) {
 	// one batch.
 	for _, p := range tr[:n/2] {
 		line := FormatLine(Sample{Source: "m1", Free: p[0], Swap: p[1]})
-		if err := reg.IngestLine("", line); err != nil {
+		if err := ingestLine(reg, "", line); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := reg.IngestLine("", FormatBatch(Batch{Source: "m1", Pairs: tr[n/2:]})); err != nil {
+	if err := ingestLine(reg, "", FormatBatch(Batch{Source: "m1", Pairs: tr[n/2:]})); err != nil {
 		t.Fatal(err)
 	}
 	if err := reg.Close(); err != nil {

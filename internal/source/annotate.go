@@ -79,8 +79,9 @@ func (a *Annotator) Jump(sample, ladder int) {
 // With a recorder, the unit's tail goes to fr: values from the columns,
 // scores from the annotation, phase and verdict from the marked jumps
 // replayed over the ladders, and — on the last record of a traced unit —
-// the trace sequence and stage timings.
-func (a *Annotator) End(free, swap []float64, tr *trace.Tracer, fr *trace.FlightRecorder, source string, shard int) {
+// the trace sequence and stage timings. wall (UnixNano) is the unit's
+// commit time, stamped on its records.
+func (a *Annotator) End(free, swap []float64, wall int64, tr *trace.Tracer, fr *trace.FlightRecorder, source string, shard int) {
 	var detectNs int64
 	if a.seq != 0 {
 		end := time.Now()
@@ -105,7 +106,6 @@ func (a *Annotator) End(free, swap []float64, tr *trace.Tracer, fr *trace.Flight
 	for ; mi < len(a.marks) && a.marks[mi].sample < tail0; mi++ {
 		phase = a.climb(a.marks[mi].ladder, phase)
 	}
-	wall := time.Now().UnixNano()
 	if cap(a.recs) < len(stats) {
 		a.recs = make([]trace.Record, len(stats))
 	}

@@ -95,7 +95,7 @@ func (s *MonitorSink) WriteSampled(it Item, seq uint64) error {
 		for _, j := range jumps {
 			s.ann.Jump(j.Jump.SampleIndex, int(j.Counter)-1)
 		}
-		s.ann.End(s.free, s.swap, s.cfg.Tracer, s.cfg.Recorder, s.cfg.Source, 0)
+		s.ann.End(s.free, s.swap, time.Now().UnixNano(), s.cfg.Tracer, s.cfg.Recorder, s.cfg.Source, 0)
 	}
 	if len(jumps) > 0 && s.cfg.OnJumps != nil {
 		s.cfg.OnJumps(s.samples, jumps)
