@@ -390,11 +390,9 @@ type (
 	RejuvenationPolicyFactory = control.PolicyFactory
 )
 
-// Alert kinds published on the control bus.
-const (
-	AlertKindJump   = control.KindJump
-	AlertKindResume = control.KindResume
-)
+// AlertKindResume is the kind of the alert a stalled source's return
+// publishes on the control bus.
+const AlertKindResume = control.KindResume
 
 // Control-plane functions.
 var (

@@ -486,7 +486,7 @@ func runClusterSelfTest(stdout io.Writer, opt options) error {
 	}
 	fmt.Fprintf(stdout, "cluster selftest: %d lines, %d forwards, %d migrations, %d adoptions, loss %d, parity mismatches %d in %v\n",
 		res.LinesSent, res.Forwards, res.Migrations, res.AdoptionsRestore,
-		res.SampleLoss, res.ParityMismatches, res.Elapsed.Round(time.Millisecond))
+		res.SampleLoss, len(res.ParityMismatches), res.Elapsed.Round(time.Millisecond))
 	fmt.Fprintln(stdout, "cluster selftest: PASS")
 	return nil
 }
@@ -523,8 +523,8 @@ func runSelfTest(ctx context.Context, srv *agingmf.IngestServer, stdout io.Write
 		len(rep.ParityMismatches), len(rep.RecorderFailures), rep.TraceSpans,
 		rep.Elapsed.Round(time.Millisecond))
 	if !rep.Ok() {
-		return fmt.Errorf("selftest failed: accepted %d/%d, dropped %d, parity mismatches %v, recorder failures %v",
-			rep.Accepted, rep.SamplesSent, rep.Dropped, rep.ParityMismatches, rep.RecorderFailures)
+		return fmt.Errorf("selftest failed: accepted %d/%d, dropped %d, bad lines %d, parity mismatches %v, recorder failures %v",
+			rep.Accepted, rep.SamplesSent, rep.Dropped, rep.BadLines, rep.ParityMismatches, rep.RecorderFailures)
 	}
 	fmt.Fprintln(stdout, "selftest: PASS")
 	return serr

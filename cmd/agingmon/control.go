@@ -6,6 +6,8 @@ import (
 	"net/http"
 
 	"agingmf"
+	"agingmf/internal/control"
+	"agingmf/internal/detect"
 	"agingmf/internal/runtime"
 )
 
@@ -79,17 +81,10 @@ func (cp *controlPlane) publish(a agingmf.Alert) {
 	}
 }
 
-// jump publishes one detector alarm.
+// jump publishes one detector alarm through the shared detect→alert
+// translation, so agingmon's jump alerts match agingd's field for field.
 func (cp *controlPlane) jump(j agingmf.DualJump) {
-	cp.publish(agingmf.Alert{
-		Source:     cp.src,
-		Kind:       agingmf.AlertKindJump,
-		Detector:   "holder",
-		Counter:    j.Counter.String(),
-		Sample:     j.Jump.SampleIndex,
-		Volatility: j.Jump.Volatility,
-		Score:      j.Jump.Score,
-	})
+	cp.publish(control.FromDetectEvent(cp.src, detect.HolderEvent(j)))
 }
 
 // phase publishes one phase transition.

@@ -1,7 +1,6 @@
 package chaos
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"math/rand"
@@ -11,6 +10,7 @@ import (
 
 	"agingmf/internal/aging"
 	"agingmf/internal/control"
+	"agingmf/internal/detect"
 	"agingmf/internal/ingest"
 	"agingmf/internal/obs"
 	"agingmf/internal/trace"
@@ -123,8 +123,8 @@ type IngestReport struct {
 	Corrupted int
 	Stalls    int
 	// ParityMismatches lists sources whose final monitor state differs
-	// from a single-process monitor fed the same trace — must be empty
-	// no matter what faults ran.
+	// from the per-sample oracle (detect.Replay) of the same trace ("id",
+	// or "id/detector") — must be empty no matter what faults ran.
 	ParityMismatches []string
 	// FlightRecords is each source's flight-recorder tail captured before
 	// shutdown (nil unless FlightRecorderDepth > 0) — the campaign's
@@ -282,22 +282,12 @@ func RunIngest(ctx context.Context, cfg IngestConfig) (IngestReport, error) {
 			rep.ParityMismatches = append(rep.ParityMismatches, id)
 			continue
 		}
-		ref, err := aging.NewDualMonitor(cfg.Monitor)
+		want, err := detect.Replay(reg.Config().Detectors, reg.Config().DetectorConfig(), traces[i])
 		if err != nil {
 			shutdown()
 			return rep, fmt.Errorf("chaos: %w", err)
 		}
-		for _, s := range traces[i] {
-			ref.Add(s[0], s[1])
-		}
-		want, err := ref.SaveState()
-		if err != nil {
-			shutdown()
-			return rep, fmt.Errorf("chaos: %w", err)
-		}
-		if !bytes.Equal(got, want) {
-			rep.ParityMismatches = append(rep.ParityMismatches, id)
-		}
+		rep.ParityMismatches = append(rep.ParityMismatches, detect.Mismatches(id, got, want)...)
 	}
 	shutdown()
 	cfg.Events.Info("chaos_ingest_done", obs.Fields{

@@ -42,23 +42,7 @@ func (h *Holder) Kind() string { return KindHolder }
 // Push implements Detector: one sample pair through both counter
 // pipelines, volatility jumps become jump events.
 func (h *Holder) Push(s Sample, tm *aging.StageNanos) Verdict {
-	fired := h.dm.AddTraced(s.Free, s.Swap, tm)
-	v := Verdict{Phase: h.dm.Phase()}
-	if len(fired) == 0 {
-		return v
-	}
-	v.Events = make([]Event, len(fired))
-	for i, dj := range fired {
-		v.Events[i] = Event{
-			Detector: KindHolder,
-			Kind:     EventJump,
-			Counter:  dj.Counter,
-			Sample:   dj.Jump.SampleIndex,
-			Value:    dj.Jump.Volatility,
-			Score:    dj.Jump.Score,
-		}
-	}
-	return v
+	return h.verdict(h.dm.AddTraced(s.Free, s.Swap, tm))
 }
 
 // PushColumns implements ColumnPusher: both counter columns run through
@@ -66,23 +50,34 @@ func (h *Holder) Push(s Sample, tm *aging.StageNanos) Verdict {
 // per-pair free-then-swap alarm ordering and per-sample state bytes and
 // fills the annotation from inside the kernel.
 func (h *Holder) PushColumns(free, swap []float64, ann ...*aging.Annotation) Verdict {
-	fired := h.dm.AddColumns(free, swap, ann...)
+	return h.verdict(h.dm.AddColumns(free, swap, ann...))
+}
+
+// verdict wraps the jumps the dual monitor just fired and its phase.
+func (h *Holder) verdict(fired []aging.DualJump) Verdict {
 	v := Verdict{Phase: h.dm.Phase()}
 	if len(fired) == 0 {
 		return v
 	}
 	v.Events = make([]Event, len(fired))
 	for i, dj := range fired {
-		v.Events[i] = Event{
-			Detector: KindHolder,
-			Kind:     EventJump,
-			Counter:  dj.Counter,
-			Sample:   dj.Jump.SampleIndex,
-			Value:    dj.Jump.Volatility,
-			Score:    dj.Jump.Score,
-		}
+		v.Events[i] = HolderEvent(dj)
 	}
 	return v
+}
+
+// HolderEvent is the one translation of a dual-monitor volatility jump
+// into a detector event: the holder detector's events and agingmon's
+// jump alerts (via control.FromDetectEvent) both go through it.
+func HolderEvent(dj aging.DualJump) Event {
+	return Event{
+		Detector: KindHolder,
+		Kind:     EventJump,
+		Counter:  dj.Counter,
+		Sample:   dj.Jump.SampleIndex,
+		Value:    dj.Jump.Volatility,
+		Score:    dj.Jump.Score,
+	}
 }
 
 // Phase implements Detector.

@@ -2,7 +2,6 @@ package ingest
 
 import (
 	"bufio"
-	"bytes"
 	"context"
 	"fmt"
 	"math/rand"
@@ -77,10 +76,12 @@ type SelfTestReport struct {
 	// Sources and SamplesSent describe the generated load.
 	Sources     int
 	SamplesSent int
-	// Accepted and Dropped are the registry's accounting after the load;
-	// a passing self-test has Accepted == SamplesSent and Dropped == 0.
+	// Accepted, Dropped and BadLines are the registry's accounting of
+	// this run's load; a passing self-test has Accepted == SamplesSent
+	// and the other two zero.
 	Accepted uint64
 	Dropped  uint64
+	BadLines uint64
 	// ParityMismatches lists sources whose daemon-side detector state
 	// differs from a single-process detector set fed the same trace —
 	// always empty unless the sharding is broken. Entries are "id" when
@@ -103,11 +104,11 @@ type SelfTestReport struct {
 }
 
 // Ok reports whether the self-test passed: every sample accepted, none
-// dropped, every source's monitor byte-for-byte identical to its
+// dropped or rejected, every source's monitor byte-for-byte identical to its
 // single-process reference, and — when the flight recorder is on — every
 // recorder tail consistent with the wire trace.
 func (r SelfTestReport) Ok() bool {
-	return r.Accepted == uint64(r.SamplesSent) && r.Dropped == 0 &&
+	return r.Accepted == uint64(r.SamplesSent) && r.Dropped == 0 && r.BadLines == 0 &&
 		len(r.ParityMismatches) == 0 && len(r.RecorderFailures) == 0
 }
 
@@ -156,7 +157,8 @@ func RunSelfTest(ctx context.Context, srv *Server, cfg SelfTestConfig) (SelfTest
 
 	rep := SelfTestReport{Sources: cfg.Sources, SamplesSent: total}
 	reg := srv.Registry()
-	base := reg.Accepted() // the server may have served traffic already
+	// The server may have served traffic already: count this run only.
+	baseAccepted, baseDropped, baseBad := reg.Accepted(), reg.Dropped(), reg.BadLines()
 
 	// Partition sources round-robin over the connections; each connection
 	// interleaves its sources sample-by-sample, the worst case for
@@ -179,19 +181,21 @@ func RunSelfTest(ctx context.Context, srv *Server, cfg SelfTestConfig) (SelfTest
 	}
 
 	// The samples are all written; wait for the shards to consume them.
-	for reg.Accepted()-base < uint64(total) {
-		if ctx.Err() != nil {
+	// A dropped sample or a rejected line will never be accepted, so
+	// either ends the wait at once instead of at the timeout.
+	for reg.Accepted()-baseAccepted < uint64(total) {
+		if ctx.Err() != nil || reg.Dropped() > baseDropped || reg.BadLines() > baseBad {
 			break
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	rep.Accepted = reg.Accepted() - base
-	rep.Dropped = reg.Dropped()
+	rep.Accepted = reg.Accepted() - baseAccepted
+	rep.Dropped = reg.Dropped() - baseDropped
+	rep.BadLines = reg.BadLines() - baseBad
 	rep.Alerts = reg.Alerts().Total()
 
-	// Parity: replay each trace into a fresh single-process detector set
-	// (the same suite the registry runs) and compare gob states
-	// byte-for-byte, reporting per-detector when they diverge.
+	// Parity: each source's state against the per-sample oracle of the
+	// same suite, reported per detector when they diverge.
 	for i, tr := range traces {
 		id := selfTestSourceID(i)
 		if st, ok := reg.Source(id); ok {
@@ -202,20 +206,11 @@ func RunSelfTest(ctx context.Context, srv *Server, cfg SelfTestConfig) (SelfTest
 			rep.ParityMismatches = append(rep.ParityMismatches, id)
 			continue
 		}
-		ref, err := detect.New(reg.Config().Detectors, reg.Config().DetectorConfig())
+		want, err := detect.Replay(reg.Config().Detectors, reg.Config().DetectorConfig(), tr)
 		if err != nil {
-			return rep, fmt.Errorf("ingest: self-test reference detectors: %w", err)
+			return rep, fmt.Errorf("ingest: self-test reference: %w", err)
 		}
-		for _, s := range tr {
-			ref.Add(s[0], s[1])
-		}
-		want, err := ref.SaveState()
-		if err != nil {
-			return rep, fmt.Errorf("ingest: self-test reference state: %w", err)
-		}
-		if !bytes.Equal(got, want) {
-			rep.ParityMismatches = append(rep.ParityMismatches, detectorMismatches(id, got, want)...)
-		}
+		rep.ParityMismatches = append(rep.ParityMismatches, detect.Mismatches(id, got, want)...)
 		// Flight-recorder consistency: the recorder's newest record must
 		// be the trace's last sample, bit-for-bit (the wire format
 		// round-trips float64 exactly — the same property parity rests on).
@@ -235,30 +230,6 @@ func RunSelfTest(ctx context.Context, srv *Server, cfg SelfTestConfig) (SelfTest
 	rep.TraceSpans = len(reg.Tracer().Spans())
 	rep.Elapsed = time.Since(start)
 	return rep, nil
-}
-
-// detectorMismatches attributes a set-snapshot divergence to the
-// detectors whose states differ ("id/kind"), falling back to the bare id
-// when the snapshots cannot be split or disagree structurally.
-func detectorMismatches(id string, got, want []byte) []string {
-	gk, gs, gerr := detect.DecodeStates(got)
-	wk, ws, werr := detect.DecodeStates(want)
-	if gerr != nil || werr != nil || len(gk) != len(wk) {
-		return []string{id}
-	}
-	var out []string
-	for i := range gk {
-		if gk[i] != wk[i] {
-			return []string{id}
-		}
-		if !bytes.Equal(gs[i], ws[i]) {
-			out = append(out, id+"/"+gk[i])
-		}
-	}
-	if len(out) == 0 {
-		return []string{id} // envelope differs but contents match: still a defect
-	}
-	return out
 }
 
 // selfTestTrace simulates machine i and returns its (free, swap) trace.

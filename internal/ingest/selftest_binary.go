@@ -1,7 +1,6 @@
 package ingest
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"net"
@@ -224,9 +223,9 @@ func RunBinarySelfTest(ctx context.Context, srv *Server, cfg BinarySelfTestConfi
 		rep.SamplesPerSec = float64(rep.Accepted) / sec
 	}
 
-	// Verify phase: replay each trace sample-by-sample into a fresh
-	// detector set — the row-path reference the columnar chain must match
-	// byte-for-byte.
+	// Verify phase: each source's state against the per-sample oracle —
+	// the row path the columnar chain must match byte-for-byte.
+	trace := make([][2]float64, cfg.Samples)
 	for s := 0; s < cfg.Sources; s++ {
 		id := binarySelfTestSourceID(s)
 		got, err := reg.MonitorState(id)
@@ -234,21 +233,14 @@ func RunBinarySelfTest(ctx context.Context, srv *Server, cfg BinarySelfTestConfi
 			rep.ParityMismatches = append(rep.ParityMismatches, id)
 			continue
 		}
-		ref, err := detect.New(reg.Config().Detectors, reg.Config().DetectorConfig())
+		for i := range trace {
+			trace[i][0], trace[i][1] = binarySelfTestPair(cfg.Seed, s, i)
+		}
+		want, err := detect.Replay(reg.Config().Detectors, reg.Config().DetectorConfig(), trace)
 		if err != nil {
-			return rep, fmt.Errorf("ingest: binary self-test reference detectors: %w", err)
+			return rep, fmt.Errorf("ingest: binary self-test reference: %w", err)
 		}
-		for i := 0; i < cfg.Samples; i++ {
-			free, swap := binarySelfTestPair(cfg.Seed, s, i)
-			ref.Add(free, swap)
-		}
-		want, err := ref.SaveState()
-		if err != nil {
-			return rep, fmt.Errorf("ingest: binary self-test reference state: %w", err)
-		}
-		if !bytes.Equal(got, want) {
-			rep.ParityMismatches = append(rep.ParityMismatches, detectorMismatches(id, got, want)...)
-		}
+		rep.ParityMismatches = append(rep.ParityMismatches, detect.Mismatches(id, got, want)...)
 	}
 	rep.Elapsed = time.Since(start)
 	return rep, nil

@@ -114,6 +114,33 @@ func TestSelfTestTracedAndRecorded(t *testing.T) {
 	}
 }
 
+// TestSelfTestFailsFastOnDrops: a self-test whose samples are dropped
+// (here: more sources than the registry admits) must report failure as
+// soon as the first drop shows, not wait out its timeout for samples
+// that will never be accepted.
+func TestSelfTestFailsFastOnDrops(t *testing.T) {
+	srv := startTestServer(t, func(c *ServerConfig) { c.Registry.MaxSources = 2 })
+	start := time.Now()
+	rep, err := RunSelfTest(context.Background(), srv, SelfTestConfig{
+		Sources: 4,
+		Samples: 32,
+		Seed:    7,
+		Timeout: 20 * time.Second,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if elapsed := time.Since(start); elapsed > 10*time.Second {
+		t.Fatalf("self-test with dropped samples took %v; it waited for samples that were never coming", elapsed)
+	}
+	if rep.Ok() || rep.Dropped == 0 {
+		t.Fatalf("dropped samples not reported as a failure: %+v", rep)
+	}
+	if rep.Dropped > uint64(rep.SamplesSent) {
+		t.Fatalf("dropped %d of %d sent: not this run's count", rep.Dropped, rep.SamplesSent)
+	}
+}
+
 func TestSelfTestNeedsTCP(t *testing.T) {
 	srv, err := NewServer(ServerConfig{Registry: Config{Monitor: testMonitorConfig()}})
 	if err != nil {

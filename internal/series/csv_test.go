@@ -91,3 +91,21 @@ func TestReadCSVSingleRowAssumesOneSecond(t *testing.T) {
 		t.Errorf("value = %v, want 3.5", got[0].Values[0])
 	}
 }
+
+// TestReadCSVSkipsTruncationMarker: a trace cut short by a signal ends
+// in a "# truncated:" comment line, which the reader must skip.
+func TestReadCSVSkipsTruncationMarker(t *testing.T) {
+	var buf bytes.Buffer
+	free := Series{Name: "free", Step: time.Second, Values: []float64{10, 20}}
+	if err := WriteCSV(&buf, free); err != nil {
+		t.Fatalf("WriteCSV: %v", err)
+	}
+	buf.WriteString("# truncated: received interrupt after 2 samples\n")
+	cols, err := ReadCSV(&buf)
+	if err != nil {
+		t.Fatalf("ReadCSV on truncated trace: %v", err)
+	}
+	if len(cols) != 1 || cols[0].Len() != 2 {
+		t.Fatalf("got %d columns x %d rows, want the 2 data rows (marker skipped)", len(cols), cols[0].Len())
+	}
+}

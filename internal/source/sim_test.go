@@ -200,7 +200,7 @@ func TestNewSimDefaults(t *testing.T) {
 }
 
 func TestFaultSourcePassthrough(t *testing.T) {
-	src := source.NewFault(source.NewMemory(
+	src := source.NewFault(newMemory(
 		source.Item{Pairs: [][2]float64{{1, 2}, {3, 4}}},
 	), source.FaultConfig{})
 	it, err := src.Next(context.Background())
@@ -214,7 +214,7 @@ func TestFaultSourcePassthrough(t *testing.T) {
 
 func TestFaultSourceDropAll(t *testing.T) {
 	drops := 0
-	src := source.NewFault(source.NewMemory(
+	src := source.NewFault(newMemory(
 		source.Item{Pairs: [][2]float64{{1, 2}, {3, 4}}, Counters: make([]memsim.Counters, 2)},
 	), source.FaultConfig{
 		RNG:      rand.New(rand.NewSource(7)),
@@ -235,7 +235,7 @@ func TestFaultSourceDropAll(t *testing.T) {
 
 func TestFaultSourceCorruptAll(t *testing.T) {
 	corrupts := 0
-	src := source.NewFault(source.NewMemory(
+	src := source.NewFault(newMemory(
 		source.Item{Pairs: [][2]float64{{1, 2}}},
 	), source.FaultConfig{
 		RNG:         rand.New(rand.NewSource(7)),
@@ -260,7 +260,7 @@ func TestFaultSourceDeterministic(t *testing.T) {
 		for i := range items {
 			items[i] = source.Item{Pairs: [][2]float64{{float64(i), float64(2 * i)}}}
 		}
-		src := source.NewFault(source.NewMemory(items...), source.FaultConfig{
+		src := source.NewFault(newMemory(items...), source.FaultConfig{
 			RNG:         rand.New(rand.NewSource(seed)),
 			DropRate:    0.2,
 			CorruptRate: 0.2,

@@ -110,8 +110,6 @@ func (s *MonitorSink) WriteSampled(it Item, seq uint64) error {
 	return nil
 }
 
-func (s *MonitorSink) Close() error { return nil }
-
 // TraceSink accumulates items into the four collector counter columns
 // and dumps them as CSV — the recording stage of stressgen. Items must
 // carry machine counters (simulation-produced).
@@ -192,5 +190,3 @@ func (s *TraceSink) WriteCSV(w io.Writer) error {
 	}
 	return nil
 }
-
-func (s *TraceSink) Close() error { return nil }

@@ -7,7 +7,6 @@ import (
 	"io"
 	"math"
 	"math/rand"
-	"strings"
 	"testing"
 	"time"
 
@@ -129,101 +128,6 @@ func TestTraceSinkCSVRoundTrip(t *testing.T) {
 	}
 }
 
-func TestReplayBatching(t *testing.T) {
-	pairs := [][2]float64{{1, 2}, {3, 4}, {5, 6}, {7, 8}, {9, 10}}
-	src := source.NewReplay("m1", pairs, 2)
-	if src.Len() != 5 {
-		t.Fatalf("Len() = %d, want 5", src.Len())
-	}
-	ctx := context.Background()
-	var sizes []int
-	total := 0
-	for {
-		it, err := src.Next(ctx)
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			t.Fatalf("Next: %v", err)
-		}
-		if it.Source != "m1" {
-			t.Fatalf("item source %q, want m1", it.Source)
-		}
-		sizes = append(sizes, len(it.Pairs))
-		total += len(it.Pairs)
-	}
-	if total != 5 || len(sizes) != 3 || sizes[0] != 2 || sizes[1] != 2 || sizes[2] != 1 {
-		t.Fatalf("batch sizes %v (total %d), want [2 2 1]", sizes, total)
-	}
-}
-
-func TestReplayCSVColumnSelection(t *testing.T) {
-	var buf bytes.Buffer
-	free := series.Series{Name: "free", Step: time.Second, Values: []float64{10, 20, 30}}
-	swap := series.Series{Name: "swap", Step: time.Second, Values: []float64{1, 2, 3}}
-	if err := series.WriteCSV(&buf, free, swap); err != nil {
-		t.Fatalf("WriteCSV: %v", err)
-	}
-	csv := buf.String()
-
-	// Default: first column is free, second is swap.
-	src, err := source.NewReplayCSV(strings.NewReader(csv), "", "", 1)
-	if err != nil {
-		t.Fatalf("NewReplayCSV: %v", err)
-	}
-	it, _ := src.Next(context.Background())
-	if it.Pairs[0] != [2]float64{10, 1} {
-		t.Fatalf("default columns pair %v, want {10 1}", it.Pairs[0])
-	}
-
-	// Named columns, swapped on purpose.
-	src, err = source.NewReplayCSV(strings.NewReader(csv), "swap", "free", 1)
-	if err != nil {
-		t.Fatalf("NewReplayCSV named: %v", err)
-	}
-	it, _ = src.Next(context.Background())
-	if it.Pairs[0] != [2]float64{1, 10} {
-		t.Fatalf("named columns pair %v, want {1 10}", it.Pairs[0])
-	}
-
-	// Unknown column is a config error.
-	if _, err := source.NewReplayCSV(strings.NewReader(csv), "nope", "", 1); !errors.Is(err, source.ErrBadConfig) {
-		t.Fatalf("unknown column err = %v, want ErrBadConfig", err)
-	}
-}
-
-func TestReplayCSVSingleColumnZeroSwap(t *testing.T) {
-	var buf bytes.Buffer
-	free := series.Series{Name: "free", Step: time.Second, Values: []float64{10, 20}}
-	if err := series.WriteCSV(&buf, free); err != nil {
-		t.Fatalf("WriteCSV: %v", err)
-	}
-	src, err := source.NewReplayCSV(&buf, "", "", 1)
-	if err != nil {
-		t.Fatalf("NewReplayCSV: %v", err)
-	}
-	it, _ := src.Next(context.Background())
-	if it.Pairs[0] != [2]float64{10, 0} {
-		t.Fatalf("pair %v, want zero swap for a single-counter trace", it.Pairs[0])
-	}
-}
-
-func TestReplayCSVSkipsTruncationMarker(t *testing.T) {
-	var buf bytes.Buffer
-	free := series.Series{Name: "free", Step: time.Second, Values: []float64{10, 20}}
-	if err := series.WriteCSV(&buf, free); err != nil {
-		t.Fatalf("WriteCSV: %v", err)
-	}
-	buf.WriteString("# truncated: received interrupt after 2 samples\n")
-	src, err := source.NewReplayCSV(&buf, "", "", 1)
-	if err != nil {
-		t.Fatalf("NewReplayCSV on truncated trace: %v", err)
-	}
-	if src.Len() != 2 {
-		t.Fatalf("Len() = %d, want the 2 data rows (marker skipped)", src.Len())
-	}
-}
-
 func TestMonitorSinkCounts(t *testing.T) {
 	mon, err := aging.NewDualMonitor(aging.DefaultConfig())
 	if err != nil {
@@ -284,9 +188,10 @@ func regimeChangeSignal(t *testing.T, n int, seed int64) []float64 {
 }
 
 // TestReplayMonitorParity is the pipeline's core correctness claim: a
-// recorded trace replayed through CSV → ReplaySource → MonitorSink drives
-// the online monitor to exactly the state the offline aging.Analyze
-// computes from the same series — jumps, indices and final phase.
+// recorded trace read back from CSV and written into a MonitorSink in
+// 64-pair items drives the online monitor to exactly the state the
+// offline aging.Analyze computes from the same series — jumps, indices
+// and final phase.
 func TestReplayMonitorParity(t *testing.T) {
 	free := series.Series{Name: "free_memory_bytes", Step: time.Second,
 		Values: regimeChangeSignal(t, 8192, 5)}
@@ -296,20 +201,26 @@ func TestReplayMonitorParity(t *testing.T) {
 	if err := series.WriteCSV(&buf, free, swap); err != nil {
 		t.Fatalf("WriteCSV: %v", err)
 	}
+	cols, err := series.ReadCSV(&buf)
+	if err != nil || len(cols) != 2 {
+		t.Fatalf("ReadCSV: %d columns, %v", len(cols), err)
+	}
 
 	cfg := aging.DefaultConfig()
 	mon, err := aging.NewDualMonitor(cfg)
 	if err != nil {
 		t.Fatalf("NewDualMonitor: %v", err)
 	}
-	src, err := source.NewReplayCSV(bytes.NewReader(buf.Bytes()),
-		"free_memory_bytes", "used_swap_bytes", 64)
-	if err != nil {
-		t.Fatalf("NewReplayCSV: %v", err)
-	}
 	msink := source.NewMonitorSink(mon, source.MonitorSinkConfig{})
-	if _, err := source.Pump(context.Background(), src, msink, nil); err != nil {
-		t.Fatalf("Pump: %v", err)
+	for off := 0; off < cols[0].Len(); off += 64 {
+		end := min(off+64, cols[0].Len())
+		pairs := make([][2]float64, 0, end-off)
+		for i := off; i < end; i++ {
+			pairs = append(pairs, [2]float64{cols[0].Values[i], cols[1].Values[i]})
+		}
+		if err := msink.Write(source.Item{Pairs: pairs}); err != nil {
+			t.Fatalf("Write: %v", err)
+		}
 	}
 	if msink.Samples() != free.Len() {
 		t.Fatalf("replayed %d samples, wrote %d", msink.Samples(), free.Len())
@@ -343,25 +254,6 @@ func TestReplayMonitorParity(t *testing.T) {
 	// The regime change must actually exercise the detector.
 	if len(mon.Jumps()) == 0 {
 		t.Fatal("regime-change trace produced no volatility jumps; parity vacuous")
-	}
-}
-
-func BenchmarkSourceReplay(b *testing.B) {
-	pairs := make([][2]float64, 4096)
-	for i := range pairs {
-		pairs[i] = [2]float64{float64(i), float64(i * 2)}
-	}
-	ctx := context.Background()
-	b.ReportAllocs()
-	b.ResetTimer()
-	src := source.NewReplay("bench", pairs, 256)
-	for i := 0; i < b.N; i++ {
-		_, err := src.Next(ctx)
-		if err == io.EOF {
-			src = source.NewReplay("bench", pairs, 256)
-		} else if err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 

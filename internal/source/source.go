@@ -1,12 +1,14 @@
 // Package source is the transport layer of the monitoring pipeline: a
-// Source yields counter-sample items from anywhere — a stdin/socket line
-// stream, a simulated machine, a CSV replay, an in-memory slice — and a
-// Sink consumes them into anything — an online monitor, a trace dump,
-// the fleet registry. Every command composes source→stages→sink over
-// this layer instead of hand-rolling its own read loop, so swapping the
-// input of a detector (the requirement the aging literature keeps
-// restating: CHAOS, the workload-shift studies) is a constructor change,
-// and a new transport (UDP, gRPC, compressed batches) is one file.
+// Source yields counter-sample items — a text line stream (agingmon
+// -stdin, through ingest.NewLineSource), a binary frame stream, a
+// simulated machine, and FaultSource injecting drops and corruption into
+// any of them — and two sinks consume them: MonitorSink feeds an online
+// dual monitor (agingmon) and TraceSink records a simulated run
+// (stressgen). The binary frame codec and ColumnarBatch here are also
+// the fleet daemon's socket edge. Swapping the input of a detector (the
+// requirement the aging literature keeps restating: CHAOS, the
+// workload-shift studies) is a constructor change, and a new transport
+// is one file.
 //
 // Contract notes:
 //
@@ -22,9 +24,7 @@ package source
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"io"
 
 	"agingmf/internal/memsim"
 )
@@ -56,13 +56,6 @@ type Source interface {
 	Close() error
 }
 
-// Sink consumes items: the monitor feed, the CSV trace dump and the
-// fleet-registry ingestion all implement it.
-type Sink interface {
-	Write(it Item) error
-	Close() error
-}
-
 // ParseFunc turns one non-blank input line into an item; LineSource
 // applies it per line (the fleet wire protocol's ParseFunc lives in
 // internal/ingest, next to the wire parsers).
@@ -91,67 +84,4 @@ type CrashError struct {
 
 func (e *CrashError) Error() string {
 	return fmt.Sprintf("machine crashed (%v) at tick %d", e.Kind, e.Tick)
-}
-
-// MemorySource yields a fixed slice of items — the in-memory generator
-// used by tests and chaos drivers.
-type MemorySource struct {
-	items []Item
-	pos   int
-}
-
-// NewMemory returns a Source yielding the given items verbatim.
-func NewMemory(items ...Item) *MemorySource { return &MemorySource{items: items} }
-
-func (s *MemorySource) Next(ctx context.Context) (Item, error) {
-	if err := ctx.Err(); err != nil {
-		return Item{}, context.Cause(ctx)
-	}
-	if s.pos >= len(s.items) {
-		return Item{}, io.EOF
-	}
-	it := s.items[s.pos]
-	s.pos++
-	return it, nil
-}
-
-func (s *MemorySource) Close() error { return nil }
-
-// PumpStats summarizes one Pump run.
-type PumpStats struct {
-	// Items and Pairs count what reached the sink.
-	Items, Pairs int
-	// Bad counts recoverable malformed inputs skipped by OnBad.
-	Bad int
-}
-
-// Pump drains src into snk until io.EOF, cancellation, or a terminal
-// error. A *BadLineError is passed to onBad (nil means skip silently);
-// returning a non-nil error from onBad aborts the pump with that error.
-// On cancellation Pump returns context.Cause(ctx).
-func Pump(ctx context.Context, src Source, snk Sink, onBad func(*BadLineError) error) (PumpStats, error) {
-	var st PumpStats
-	for {
-		it, err := src.Next(ctx)
-		var bad *BadLineError
-		switch {
-		case err == nil:
-			if err := snk.Write(it); err != nil {
-				return st, err
-			}
-			st.Items++
-			st.Pairs += len(it.Pairs)
-		case errors.Is(err, io.EOF):
-			return st, nil
-		case errors.As(err, &bad):
-			st.Bad++
-			if onBad != nil {
-				if err := onBad(bad); err != nil {
-					return st, err
-				}
-			}
-		default:
-			return st, err
-		}
-	}
 }

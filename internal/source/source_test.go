@@ -29,25 +29,31 @@ func parsePair(line string) (source.Item, error) {
 	return source.Item{Pairs: [][2]float64{p}}, nil
 }
 
-// countSink counts what reaches it.
-type countSink struct {
-	items, pairs int
-	failWith     error
+// memorySource yields a fixed slice of items: the in-memory Source the
+// fault-injection tests wrap.
+type memorySource struct {
+	items []source.Item
+	pos   int
 }
 
-func (s *countSink) Write(it source.Item) error {
-	if s.failWith != nil {
-		return s.failWith
+func newMemory(items ...source.Item) *memorySource { return &memorySource{items: items} }
+
+func (s *memorySource) Next(ctx context.Context) (source.Item, error) {
+	if err := ctx.Err(); err != nil {
+		return source.Item{}, context.Cause(ctx)
 	}
-	s.items++
-	s.pairs += len(it.Pairs)
-	return nil
+	if s.pos >= len(s.items) {
+		return source.Item{}, io.EOF
+	}
+	it := s.items[s.pos]
+	s.pos++
+	return it, nil
 }
 
-func (s *countSink) Close() error { return nil }
+func (s *memorySource) Close() error { return nil }
 
 func TestMemorySource(t *testing.T) {
-	src := source.NewMemory(
+	src := newMemory(
 		source.Item{Source: "a", Pairs: [][2]float64{{1, 2}}},
 		source.Item{Source: "b", Pairs: [][2]float64{{3, 4}, {5, 6}}},
 	)
@@ -69,7 +75,7 @@ func TestMemorySource(t *testing.T) {
 }
 
 func TestMemorySourceCancel(t *testing.T) {
-	src := source.NewMemory(source.Item{Pairs: [][2]float64{{1, 2}}})
+	src := newMemory(source.Item{Pairs: [][2]float64{{1, 2}}})
 	cause := errors.New("stop now")
 	ctx, cancel := context.WithCancelCause(context.Background())
 	cancel(cause)
@@ -155,50 +161,6 @@ func TestLineSourceCancelWhileBlocked(t *testing.T) {
 	cancel(cause)
 	if err := <-done; !errors.Is(err, cause) {
 		t.Fatalf("blocked Next err = %v, want cause %v", err, cause)
-	}
-}
-
-func TestPump(t *testing.T) {
-	src := source.NewLines(strings.NewReader("1,2\nbad\n3,4\n5,6\n"), parsePair)
-	defer src.Close()
-	var snk countSink
-	var badLines []string
-	st, err := source.Pump(context.Background(), src, &snk,
-		func(b *source.BadLineError) error { badLines = append(badLines, b.Line); return nil })
-	if err != nil {
-		t.Fatalf("Pump: %v", err)
-	}
-	if st.Items != 3 || st.Pairs != 3 || st.Bad != 1 {
-		t.Fatalf("stats %+v, want 3 items / 3 pairs / 1 bad", st)
-	}
-	if snk.items != 3 || snk.pairs != 3 {
-		t.Fatalf("sink saw %d items / %d pairs", snk.items, snk.pairs)
-	}
-	if len(badLines) != 1 || badLines[0] != "bad" {
-		t.Fatalf("bad lines %v", badLines)
-	}
-}
-
-func TestPumpOnBadAborts(t *testing.T) {
-	src := source.NewLines(strings.NewReader("1,2\nbad\n3,4\n"), parsePair)
-	defer src.Close()
-	abort := errors.New("budget exceeded")
-	var snk countSink
-	st, err := source.Pump(context.Background(), src, &snk,
-		func(*source.BadLineError) error { return abort })
-	if !errors.Is(err, abort) {
-		t.Fatalf("err = %v, want %v", err, abort)
-	}
-	if st.Items != 1 || st.Bad != 1 {
-		t.Fatalf("stats %+v, want 1 item then abort", st)
-	}
-}
-
-func TestPumpSinkErrorStops(t *testing.T) {
-	boom := errors.New("sink full")
-	src := source.NewMemory(source.Item{Pairs: [][2]float64{{1, 2}}})
-	if _, err := source.Pump(context.Background(), src, &countSink{failWith: boom}, nil); !errors.Is(err, boom) {
-		t.Fatalf("err = %v, want %v", err, boom)
 	}
 }
 
