@@ -296,7 +296,7 @@ func TestOscillationErrors(t *testing.T) {
 }
 
 func TestOscillationRejectsNonFinite(t *testing.T) {
-	// NaN has no ordering, so the estimator's deque path and its ladder
+	// NaN has no ordering, so the estimator's raw scan and its ladder
 	// kernel would resolve it differently; the offline path must refuse
 	// it, as ingestion does, instead of returning a trajectory.
 	rng := rand.New(rand.NewSource(1))

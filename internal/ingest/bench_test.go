@@ -72,12 +72,13 @@ func BenchmarkIngestLine(b *testing.B) {
 	}
 }
 
-// BenchmarkIngestTextLines measures the text path fleet-text-lines
-// loads: single-sample lines of 4096 sources, round-robin, cut into reads
-// by the connection's line reader and routed by IngestLines, through to
-// the shards' folds. One op is one pass of 8 lines per source; ns/line
-// is the figure to compare.
-func BenchmarkIngestTextLines(b *testing.B) {
+// textLinesPass builds the load BenchmarkIngestTextLines and
+// TestIngestTextLinesAllocs run: single-sample lines of 4096 sources,
+// round-robin, 8 lines per source. pass cuts them into reads with the
+// connection's line reader, routes each read through IngestLines and
+// drains the shards' folds.
+func textLinesPass(tb testing.TB) (r *Registry, lines int, pass func()) {
+	tb.Helper()
 	const sources, rounds = 4096, 8
 	var blob []byte
 	for k := 0; k < rounds; k++ {
@@ -90,10 +91,10 @@ func BenchmarkIngestTextLines(b *testing.B) {
 	}
 	r, err := NewRegistry(Config{Monitor: testMonitorConfig()})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	defer r.Close()
-	pass := func() {
+	tb.Cleanup(func() { r.Close() })
+	return r, sources * rounds, func() {
 		lr := newLineReader(bytes.NewReader(blob), 64<<10)
 		for {
 			lines, err := lr.next()
@@ -101,16 +102,23 @@ func BenchmarkIngestTextLines(b *testing.B) {
 				break
 			}
 			if err != nil {
-				b.Fatal(err)
+				tb.Fatal(err)
 			}
 			if _, err := r.IngestLines("peer", lines, nil); err != nil {
-				b.Fatal(err)
+				tb.Fatal(err)
 			}
 		}
 		if err := r.Drain(); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkIngestTextLines measures the text path fleet-text-lines
+// loads (textLinesPass), through to the shards' folds. One op is one
+// pass; ns/line is the figure to compare.
+func BenchmarkIngestTextLines(b *testing.B) {
+	r, lines, pass := textLinesPass(b)
 	pass() // every source exists before the clock starts
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -118,9 +126,20 @@ func BenchmarkIngestTextLines(b *testing.B) {
 		pass()
 	}
 	b.StopTimer()
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*sources*rounds), "ns/line")
-	if got, want := r.Accepted(), uint64((b.N+1)*sources*rounds); got != want {
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*lines), "ns/line")
+	if got, want := r.Accepted(), uint64((b.N+1)*lines); got != want {
 		b.Fatalf("accepted %d lines, want %d", got, want)
+	}
+}
+
+// TestIngestTextLinesAllocs gates the text wire's steady state, from the
+// line reader through parse, routing and the per-sample estimator to the
+// fold, at under 0.1 heap allocations per line: once every source
+// exists, a line costs nothing on the heap.
+func TestIngestTextLinesAllocs(t *testing.T) {
+	_, lines, pass := textLinesPass(t)
+	if perLine := testing.AllocsPerRun(3, pass) / float64(lines); perLine >= 0.1 {
+		t.Errorf("%.3f allocs per line, want < 0.1", perLine)
 	}
 }
 

@@ -92,7 +92,7 @@ func (r *Registry) AttachSource(id string, state []byte, recs []trace.Record) er
 			aerr = fmt.Errorf("%w: %q", ErrSourceExists, id)
 			return
 		}
-		if r.cfg.MaxSources > 0 && r.nsources.Load() >= int64(r.cfg.MaxSources) {
+		if !r.reserveSource() {
 			aerr = fmt.Errorf("ingest: attach %q: source cap %d reached", id, r.cfg.MaxSources)
 			return
 		}

@@ -6,6 +6,8 @@ import (
 	"math"
 	"strconv"
 	"strings"
+	"unicode"
+	"unicode/utf8"
 )
 
 // ErrBadLine reports a wire line that does not parse as a sample.
@@ -69,26 +71,25 @@ func ParseLine(line string) (Sample, error) {
 		return s, fmt.Errorf("%w: source field without counters", ErrBadLine)
 	}
 
-	if strings.ContainsRune(rest, ',') {
+	if free, swap, ok := strings.Cut(rest, ","); ok {
 		// Comma form: exactly "free,swap" (spaces around the comma are
 		// tolerated, matching the original stdin parser).
-		parts := strings.Split(rest, ",")
-		if len(parts) != 2 {
-			return s, fmt.Errorf(`%w: want "free,swap", got %d fields`, ErrBadLine, len(parts))
+		if strings.Contains(swap, ",") {
+			return s, fmt.Errorf(`%w: want "free,swap", got %d fields`, ErrBadLine, strings.Count(rest, ",")+1)
 		}
 		var err error
-		if s.Free, err = parseFinite("free", parts[0]); err != nil {
+		if s.Free, err = parseFinite("free", free); err != nil {
 			return s, err
 		}
-		if s.Swap, err = parseFinite("swap", parts[1]); err != nil {
+		if s.Swap, err = parseFinite("swap", swap); err != nil {
 			return s, err
 		}
 		return s, nil
 	}
 
-	fields := strings.Fields(rest)
+	var fields [3]string
 	var err error
-	switch len(fields) {
+	switch n := splitFields(rest, &fields); n {
 	case 2:
 		if s.Free, err = parseFinite("free", fields[0]); err != nil {
 			return s, err
@@ -108,9 +109,47 @@ func ParseLine(line string) (Sample, error) {
 			return s, err
 		}
 	default:
-		return s, fmt.Errorf("%w: want 2 or 3 fields, got %d", ErrBadLine, len(fields))
+		return s, fmt.Errorf("%w: want 2 or 3 fields, got %d", ErrBadLine, n)
 	}
 	return s, nil
+}
+
+// splitFields splits s around runs of whitespace exactly as
+// strings.Fields does — unicode.IsSpace decides, so U+0085 and U+00A0
+// separate fields too — without allocating: the first len(fields) fields
+// land in fields, and the return value counts them all.
+func splitFields(s string, fields *[3]string) int {
+	n := 0
+	for i := 0; i < len(s); {
+		if w, sp := spaceAt(s, i); sp {
+			i += w
+			continue
+		}
+		start := i
+		for i < len(s) {
+			w, sp := spaceAt(s, i)
+			if sp {
+				break
+			}
+			i += w
+		}
+		if n < len(fields) {
+			fields[n] = s[start:i]
+		}
+		n++
+	}
+	return n
+}
+
+// spaceAt decodes the rune at s[i] as strings.Fields does (an invalid
+// byte is one RuneError wide) and reports its width and whether it is
+// whitespace.
+func spaceAt(s string, i int) (int, bool) {
+	r, w := rune(s[i]), 1
+	if r >= utf8.RuneSelf {
+		r, w = utf8.DecodeRuneInString(s[i:])
+	}
+	return w, unicode.IsSpace(r)
 }
 
 // FormatLine renders a sample in the canonical wire form, the inverse of

@@ -2,7 +2,9 @@ package ingest
 
 import (
 	"errors"
+	"fmt"
 	"math"
+	"math/rand"
 	"strings"
 	"testing"
 )
@@ -134,4 +136,112 @@ func FuzzParseLine(f *testing.F) {
 			t.Fatalf("round trip of %q: got %+v, want %+v", line, rt, s)
 		}
 	})
+}
+
+// fieldsParseLine is ParseLine's counter split as it was written on
+// strings.Fields and strings.Split: the reference the in-place split
+// must match line for line.
+func fieldsParseLine(line string) (Sample, error) {
+	var s Sample
+	rest := strings.TrimSpace(line)
+	if rest == "" {
+		return s, fmt.Errorf("%w: empty", ErrBadLine)
+	}
+	if strings.HasPrefix(rest, "source=") {
+		id := rest[len("source="):]
+		if sp := strings.IndexAny(id, " \t"); sp >= 0 {
+			rest = strings.TrimSpace(id[sp+1:])
+			id = id[:sp]
+		} else {
+			rest = ""
+		}
+		if err := validSource(id); err != nil {
+			return s, err
+		}
+		s.Source = id
+	}
+	if rest == "" {
+		return s, fmt.Errorf("%w: source field without counters", ErrBadLine)
+	}
+	var err error
+	if strings.ContainsRune(rest, ',') {
+		parts := strings.Split(rest, ",")
+		if len(parts) != 2 {
+			return s, fmt.Errorf(`%w: want "free,swap", got %d fields`, ErrBadLine, len(parts))
+		}
+		if s.Free, err = parseFinite("free", parts[0]); err != nil {
+			return s, err
+		}
+		s.Swap, err = parseFinite("swap", parts[1])
+		return s, err
+	}
+	fields := strings.Fields(rest)
+	switch len(fields) {
+	case 2:
+		if s.Free, err = parseFinite("free", fields[0]); err != nil {
+			return s, err
+		}
+		s.Swap, err = parseFinite("swap", fields[1])
+	case 3:
+		if s.Timestamp, err = parseFinite("timestamp", fields[0]); err != nil {
+			return s, err
+		}
+		s.HasTimestamp = true
+		if s.Free, err = parseFinite("free", fields[1]); err != nil {
+			return s, err
+		}
+		s.Swap, err = parseFinite("swap", fields[2])
+	default:
+		return s, fmt.Errorf("%w: want 2 or 3 fields, got %d", ErrBadLine, len(fields))
+	}
+	return s, err
+}
+
+// TestParseLineMatchesFieldsReference crafts lines of one to four
+// fields joined and padded by ASCII and Unicode whitespace (tab, U+0085,
+// U+00A0, U+2003, vertical tab), with and without a source or a comma,
+// and invalid UTF-8 next to a separator, and requires ParseLine to
+// return what the strings.Fields reference returns: the same sample, or
+// the same error text.
+func TestParseLineMatchesFieldsReference(t *testing.T) {
+	seps := []string{" ", "\t", "\u0085", "\u00a0", " \t ", "\u2003", "\v", "\xff", "\u0085\xff "}
+	words := []string{"1", "-2.5", "1e6", "x", "3,4", "\u00a01", "NaN"}
+	prefixes := []string{"", "source=web-01 ", "source=web-01\t", "\u0085", "\u00a0source=a "}
+	suffixes := []string{"", " ", "\u0085", "\t\u00a0"}
+	rng := rand.New(rand.NewSource(5))
+	pick := func(xs []string) string { return xs[rng.Intn(len(xs))] }
+	for i := 0; i < 20000; i++ {
+		line := pick(prefixes) + pick(words)
+		for n := i % 4; n > 0; n-- {
+			line += pick(seps) + pick(words)
+		}
+		line += pick(suffixes)
+		want, werr := fieldsParseLine(line)
+		got, gerr := ParseLine(line)
+		if got != want || (gerr == nil) != (werr == nil) || (gerr != nil && gerr.Error() != werr.Error()) {
+			t.Fatalf("ParseLine(%q) = %+v, %v; strings.Fields reference %+v, %v", line, got, gerr, want, werr)
+		}
+	}
+}
+
+// TestParseLineAllocatesNothing gates every accepted line form at zero
+// heap allocations.
+func TestParseLineAllocatesNothing(t *testing.T) {
+	for _, line := range []string{
+		"1000000,2048",
+		" 3.5e9 , 0 ",
+		"1e6 2048",
+		"17.5\t1e6 2048",
+		"source=web-01 1000000,2048",
+		"source=web-01 1e6 2048",
+		"source=db/2 17.5 1e6 2048",
+	} {
+		if a := testing.AllocsPerRun(100, func() {
+			if _, err := ParseLine(line); err != nil {
+				t.Fatal(err)
+			}
+		}); a != 0 {
+			t.Errorf("ParseLine(%q): %v allocs, want 0", line, a)
+		}
+	}
 }

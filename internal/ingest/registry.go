@@ -458,6 +458,7 @@ func NewRegistry(cfg Config) (*Registry, error) {
 			return nil, fmt.Errorf("ingest: restore %q: %w", id, err)
 		}
 		sh := r.shards[r.shardIndex(id)]
+		r.nsources.Add(1) // a restore is not held to MaxSources
 		src := r.attachSource(sh, id, set)
 		src.samples.Store(int64(set.SamplesSeen()))
 		src.jumps.Store(int64(set.Jumps()))
@@ -1102,10 +1103,28 @@ func (r *Registry) Close() error {
 	return nil
 }
 
+// reserveSource takes one of the MaxSources slots for a source about to
+// be attached. The check and the increment are one compare-and-swap, so
+// shards creating sources at the same moment never admit more than the
+// cap between them. A caller that then fails to attach gives the slot
+// back with r.nsources.Add(-1).
+func (r *Registry) reserveSource() bool {
+	for {
+		n := r.nsources.Load()
+		if r.cfg.MaxSources > 0 && n >= int64(r.cfg.MaxSources) {
+			return false
+		}
+		if r.nsources.CompareAndSwap(n, n+1) {
+			return true
+		}
+	}
+}
+
 // attachSource registers a new source object on both the shard-owned map
-// side (caller's duty) and the read-side index. The detector set must be
-// fresh or restored; phase and per-detector mirrors are initialized from
-// it.
+// side (caller's duty) and the read-side index, in the slot the caller
+// has already counted in nsources (reserveSource). The detector set must
+// be fresh or restored; phase and per-detector mirrors are initialized
+// from it.
 func (r *Registry) attachSource(sh *shard, id string, set *detect.MonitorSet) *source {
 	src := &source{
 		id:        id,
@@ -1132,7 +1151,7 @@ func (r *Registry) attachSource(sh *shard, id string, set *detect.MonitorSet) *s
 	}
 	sh.sources[id] = src
 	r.byID.Store(id, src)
-	r.met.sources.Set(float64(r.nsources.Add(1)))
+	r.met.sources.Set(float64(r.nsources.Load()))
 	return src
 }
 
@@ -1199,7 +1218,7 @@ func (sh *shard) resolve(id string, n int) *source {
 	if src, ok := sh.sources[id]; ok {
 		return src
 	}
-	if r.cfg.MaxSources > 0 && r.nsources.Load() >= int64(r.cfg.MaxSources) {
+	if !r.reserveSource() {
 		r.dropN("max_sources", n)
 		if r.maxSourcesWarned.CompareAndSwap(false, true) {
 			r.cfg.Events.Warn("ingest_max_sources", obs.Fields{
@@ -1212,6 +1231,7 @@ func (sh *shard) resolve(id string, n int) *source {
 	if err != nil {
 		// The config was validated at construction; this cannot
 		// happen short of a defect. Count, don't crash the shard.
+		r.nsources.Add(-1)
 		r.dropN("monitor_error", n)
 		return nil
 	}

@@ -280,6 +280,59 @@ func TestRegistryMaxSources(t *testing.T) {
 	}
 }
 
+// TestRegistryMaxSourcesConcurrent parks every shard behind one
+// barrier with two new sources queued on each, twice as many as the cap,
+// plus as many AttachSource calls racing them, then releases the shards
+// together, over many rounds. Every shard creates its sources at once,
+// and the cap must still hold exactly.
+func TestRegistryMaxSourcesConcurrent(t *testing.T) {
+	const shards, limit, rounds = 8, 8, 200
+	over := 0
+	for round := 0; round < rounds; round++ {
+		r, err := NewRegistry(Config{Shards: shards, MaxSources: limit, Monitor: testMonitorConfig()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		gate := make(chan struct{})
+		var parked, attaching sync.WaitGroup
+		for _, sh := range r.shards {
+			parked.Add(1)
+			sh.ch <- shardMsg{ctl: &ctlMsg{fn: func(*shard) { parked.Done(); <-gate }, done: make(chan struct{})}}
+		}
+		parked.Wait()
+		perShard := make([]int, shards)
+		for k, queued := 0, 0; queued < 2*shards; k++ {
+			id := fmt.Sprintf("r%d-s%d", round, k)
+			if i := r.shardIndex(id); perShard[i] < 2 {
+				perShard[i]++
+				queued++
+				if err := r.Ingest(Sample{Source: id, Free: 1, Swap: 2}); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		for k := 0; k < 2*shards; k++ {
+			attaching.Add(1)
+			go func(id string) {
+				defer attaching.Done()
+				_ = r.AttachSource(id, nil, nil) // over the cap it fails; that is the point
+			}(fmt.Sprintf("r%d-a%d", round, k))
+		}
+		close(gate)
+		attaching.Wait()
+		if err := r.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if n, listed := r.NumSources(), len(r.Sources()); n > limit || listed > limit {
+			over++
+			t.Logf("round %d: %d sources counted, %d listed, cap %d", round, n, listed, limit)
+		}
+	}
+	if over > 0 {
+		t.Errorf("%d of %d rounds admitted more sources than MaxSources %d", over, rounds, limit)
+	}
+}
+
 func TestRegistryCloseSemantics(t *testing.T) {
 	r, err := NewRegistry(Config{Shards: 2, Monitor: testMonitorConfig()})
 	if err != nil {

@@ -46,26 +46,179 @@ func columnarTraces() map[string][]float64 {
 	}
 }
 
-// TestPushRangeParity drives one tracker through push and pushRange in
-// every batch-split pattern and requires identical state.
+// TestPushRangeParity drives one tracker through pushRange in every
+// batch-split pattern and requires the state the raw view derives: the
+// deques dequeView reads off the last window and, with nothing trimmed,
+// the oscillation of every complete window by direct scan.
 func TestPushRangeParity(t *testing.T) {
 	for name, xs := range columnarTraces() {
 		for _, r := range []int{1, 2, 8} {
-			ref := newSlidingExtrema(r)
-			for i, x := range xs {
-				ref.push(i, x)
+			want := dequeView(xs, 0, r)
+			want.OscBase = r
+			for c := r; c+r < len(xs); c++ {
+				win := xs[c-r : c+r+1]
+				want.Osc = append(want.Osc, slices.Max(win)-slices.Min(win))
 			}
 			for _, chunk := range []int{1, 3, 64, len(xs)} {
 				got := newSlidingExtrema(r)
 				for off := 0; off < len(xs); off += chunk {
-					end := off + chunk
-					if end > len(xs) {
-						end = len(xs)
-					}
-					got.pushRange(off, xs[off:end])
+					got.pushRange(off, xs[off:min(off+chunk, len(xs))])
 				}
-				if !reflect.DeepEqual(got.state(), ref.state()) {
-					t.Fatalf("%s r=%d chunk=%d: pushRange state diverged from push", name, r, chunk)
+				if !reflect.DeepEqual(got.state(), want) {
+					t.Fatalf("%s r=%d chunk=%d: pushRange state diverged from the raw view", name, r, chunk)
+				}
+			}
+		}
+	}
+}
+
+// dequeRef is the deque reference the raw kernels must match: trackers
+// advanced with pushRange sample by sample and kept for good, each
+// estimate regressed from their pending oscillations, and the estimator
+// state read off them.
+type dequeRef struct {
+	e    *OscillationEstimator // for the ladder and the regression
+	trk  []*slidingExtrema
+	seen int
+}
+
+func newDequeRef(t testing.TB, radii []int) *dequeRef {
+	t.Helper()
+	e, err := NewOscillationEstimator(radii)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := &dequeRef{e: e}
+	for _, r := range radii {
+		d.trk = append(d.trk, newSlidingExtrema(r))
+	}
+	return d
+}
+
+func (d *dequeRef) push(x float64) (float64, bool) {
+	for _, tr := range d.trk {
+		tr.pushRange(d.seen, []float64{x})
+	}
+	d.seen++
+	c := d.seen - 1 - d.e.maxR
+	if c < d.e.maxR {
+		return 0, false
+	}
+	alpha := 1.0
+	logs := make([]float64, len(d.trk))
+	for i, tr := range d.trk {
+		osc := tr.at(c)
+		if osc <= 0 {
+			logs = nil
+			break
+		}
+		logs[i] = math.Log(osc)
+	}
+	if logs != nil {
+		alpha = d.e.slope(logs)
+	}
+	for _, tr := range d.trk {
+		tr.trim(c + 1)
+	}
+	return alpha, true
+}
+
+func (d *dequeRef) state() OscillationEstimatorState {
+	st := OscillationEstimatorState{Radii: slices.Clone(d.e.radii), Seen: d.seen}
+	for _, tr := range d.trk {
+		st.Trackers = append(st.Trackers, tr.state())
+	}
+	return st
+}
+
+// viewLadders are the ladders the derived-view tests run: the shipped
+// dyadic 2..32, an odd one, an irregular one, and repeated and unsorted
+// radii.
+func viewLadders() []paritySpec {
+	return []paritySpec{
+		{"2..32", []int{2, 4, 8, 16, 32}},
+		{"odd", []int{3, 5, 7}},
+		{"irregular", []int{2, 3, 7, 20}},
+		{"repeated-unsorted", []int{8, 2, 4, 4, 1, 8}},
+	}
+}
+
+// TestRawKernelMatchesDequeReference pushes each input one sample at a
+// time through the raw kernel and the deque reference, and at every
+// prefix length 0...3*maxR+2 requires bit-identical alphas and states
+// that gob-encode identically. It then restores from the state at every
+// one of those prefix lengths, so the refill crosses into the raw kernel
+// at every offset, continues, and requires the same alphas after every
+// sample and the same states through the refill and at the end.
+func TestRawKernelMatchesDequeReference(t *testing.T) {
+	inputs := parityInputs(t)
+	// One encoder per side for the whole test, so each state after the
+	// first costs its values only, not gob's type descriptors again.
+	var gotBuf, wantBuf bytes.Buffer
+	gotEnc, wantEnc := gob.NewEncoder(&gotBuf), gob.NewEncoder(&wantBuf)
+	sameState := func(got, want OscillationEstimatorState) bool {
+		gotBuf.Reset()
+		wantBuf.Reset()
+		if err := gotEnc.Encode(got); err != nil {
+			t.Fatal(err)
+		}
+		if err := wantEnc.Encode(want); err != nil {
+			t.Fatal(err)
+		}
+		return reflect.DeepEqual(got, want) && bytes.Equal(gotBuf.Bytes(), wantBuf.Bytes())
+	}
+	for _, ld := range viewLadders() {
+		maxR := slices.Max(ld.radii)
+		n := 3*maxR + 3
+		for _, name := range []string{"memsim-free", "levels", "signed-zeros", "noisy"} {
+			xs := inputs[name][:2*n]
+			ref := newDequeRef(t, ld.radii)
+			var want []float64
+			var states []OscillationEstimatorState
+			for _, x := range xs {
+				states = append(states, ref.state())
+				if a, ok := ref.push(x); ok {
+					want = append(want, a)
+				}
+			}
+			states = append(states, ref.state())
+			got, err := NewOscillationEstimator(ld.radii)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var have []float64
+			for k := 0; k < n; k++ {
+				if !sameState(got.State(), states[k]) {
+					t.Fatalf("%s %s prefix %d: state diverged from the deque reference", ld.name, name, k)
+				}
+				if a, ok := got.Push(xs[k]); ok {
+					have = append(have, a)
+				}
+			}
+			if d := sameBits(have, want[:len(have)]); d != "" {
+				t.Fatalf("%s %s: %s", ld.name, name, d)
+			}
+			for cut := 0; cut < n; cut++ {
+				resumed, err := RestoreOscillationEstimator(states[cut])
+				if err != nil {
+					t.Fatal(err)
+				}
+				emitted := max(cut-2*maxR, 0)
+				for k := cut; k < len(xs); k++ {
+					a, ok := resumed.Push(xs[k])
+					if ok != (k >= 2*maxR) || (ok && math.Float64bits(a) != math.Float64bits(want[emitted])) {
+						t.Fatalf("%s %s cut %d: sample %d diverged from the deque reference", ld.name, name, cut, k)
+					}
+					if ok {
+						emitted++
+					}
+					// States through the refill and one past it, then the last.
+					if k > cut+2*maxR+2 && k < len(xs)-1 {
+						continue
+					}
+					if !sameState(resumed.State(), states[k+1]) {
+						t.Fatalf("%s %s cut %d: state after sample %d diverged from the deque reference", ld.name, name, cut, k)
+					}
 				}
 			}
 		}
@@ -318,14 +471,17 @@ func TestPushColumnsConcurrent(t *testing.T) {
 
 // FuzzPushColumnsParity drives arbitrary small-integer streams (byte
 // 0x80 encodes -0) through PushColumns in arbitrary chunk sizes on each
-// parity ladder, restoring from State() midway, against per-sample
-// Push: alphas bit for bit, states deep-equal and gob-identical.
+// parity and view ladder, restoring from State() at two points (the
+// second may fall inside the first restore's refill), against
+// per-sample Push and the deque reference: alphas bit for bit, states
+// deep-equal and gob-identical.
 func FuzzPushColumnsParity(f *testing.F) {
-	f.Add([]byte{1, 2, 3, 250, 0x80, 0, 7, 7, 7, 9}, uint8(0), uint16(65), uint16(3))
-	f.Add(bytes.Repeat([]byte{5, 5, 0x80, 0, 200, 1}, 60), uint8(3), uint16(130), uint16(100))
-	f.Add(bytes.Repeat([]byte{0, 1, 2, 3, 4, 5, 6, 7}, 80), uint8(6), uint16(256), uint16(9))
-	ladders := parityLadders()
-	f.Fuzz(func(t *testing.T, data []byte, ladder uint8, chunk, cut uint16) {
+	f.Add([]byte{1, 2, 3, 250, 0x80, 0, 7, 7, 7, 9}, uint8(0), uint16(65), uint16(3), uint16(2))
+	f.Add(bytes.Repeat([]byte{5, 5, 0x80, 0, 200, 1}, 60), uint8(3), uint16(130), uint16(100), uint16(30))
+	f.Add(bytes.Repeat([]byte{0, 1, 2, 3, 4, 5, 6, 7}, 80), uint8(6), uint16(256), uint16(9), uint16(70))
+	f.Add(bytes.Repeat([]byte{9, 0x80, 3, 3, 0, 250, 4}, 40), uint8(9), uint16(1), uint16(50), uint16(20))
+	ladders := append(parityLadders(), viewLadders()...)
+	f.Fuzz(func(t *testing.T, data []byte, ladder uint8, chunk, cut, cut2 uint16) {
 		radii := ladders[int(ladder)%len(ladders)].radii
 		xs := make([]float64, len(data))
 		for i, b := range data {
@@ -336,22 +492,38 @@ func FuzzPushColumnsParity(f *testing.F) {
 			}
 		}
 		want, ref := perSample(t, radii, xs)
+		dref := newDequeRef(t, radii)
+		var dwant []float64
+		for _, x := range xs {
+			if a, ok := dref.push(x); ok {
+				dwant = append(dwant, a)
+			}
+		}
+		if d := sameBits(want, dwant); d != "" {
+			t.Fatalf("ladder %v: Push vs deque reference: %s", radii, d)
+		}
+		if !sameState(t, ref.State(), dref.state()) {
+			t.Fatalf("ladder %v: Push state diverged from the deque reference", radii)
+		}
 		c := 1 + int(chunk)%300
-		k := int(cut) % (len(xs) + 1)
+		k1 := int(cut) % (len(xs) + 1)
+		k2 := k1 + int(cut2)%(len(xs)-k1+1)
 		got, err := NewOscillationEstimator(radii)
 		if err != nil {
 			t.Fatal(err)
 		}
-		have := pushChunks(got, xs[:k], c, nil)
-		if got, err = RestoreOscillationEstimator(got.State()); err != nil {
-			t.Fatal(err)
+		var have []float64
+		for _, seg := range [][]float64{xs[:k1], xs[k1:k2], xs[k2:]} {
+			if got, err = RestoreOscillationEstimator(got.State()); err != nil {
+				t.Fatal(err)
+			}
+			have = pushChunks(got, seg, c, have)
 		}
-		have = pushChunks(got, xs[k:], c, have)
 		if d := sameBits(have, want); d != "" {
-			t.Fatalf("ladder %v chunk=%d cut=%d: %s", radii, c, k, d)
+			t.Fatalf("ladder %v chunk=%d cuts=%d,%d: %s", radii, c, k1, k2, d)
 		}
 		if !sameState(t, got.State(), ref.State()) {
-			t.Fatalf("ladder %v chunk=%d cut=%d: estimator state diverged", radii, c, k)
+			t.Fatalf("ladder %v chunk=%d cuts=%d,%d: estimator state diverged", radii, c, k1, k2)
 		}
 	})
 }
@@ -414,4 +586,44 @@ func BenchmarkPushColumns(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*(len(free)+len(swap))), "ns/sample")
+}
+
+// TestPushAllocatesNothing gates the per-sample path at zero heap
+// allocations: over a fresh estimator's first 2*maxR+1 samples, where
+// the tail fills and the first estimate is emitted, and in steady state.
+func TestPushAllocatesNothing(t *testing.T) {
+	free, _ := memsimColumns(t, 3000)
+	radii := []int{2, 4, 8, 16, 32}
+	const runs = 20
+	fresh := make([]*OscillationEstimator, runs+1)
+	for i := range fresh {
+		e, err := NewOscillationEstimator(radii)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh[i] = e
+	}
+	warm := fresh[0]
+	next := 0
+	if a := testing.AllocsPerRun(runs, func() {
+		e := fresh[next]
+		next++
+		for _, x := range free[:2*32+1] {
+			e.Push(x)
+		}
+	}); a != 0 {
+		t.Errorf("fresh estimator: %v allocs per %d Push calls, want 0", a, 2*32+1)
+	}
+	off := 0
+	if a := testing.AllocsPerRun(runs, func() {
+		if off+100 > len(free) {
+			off = 0
+		}
+		for _, x := range free[off : off+100] {
+			warm.Push(x)
+		}
+		off += 100
+	}); a != 0 {
+		t.Errorf("steady state: %v allocs per 100 Push calls, want 0", a)
+	}
 }

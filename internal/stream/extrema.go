@@ -1,6 +1,6 @@
 package stream
 
-import "math"
+import "slices"
 
 // idxVal is one deque entry of the sliding-extrema tracker.
 type idxVal struct {
@@ -10,9 +10,8 @@ type idxVal struct {
 
 // deque is a fixed-capacity ring double-ended queue of idxVal. A
 // monotonic deque over a window of w samples never holds more than w
-// entries, so the backing array is allocated once and reused forever —
-// unlike slicing (`d = d[1:]`), which leaks front capacity and forces
-// amortized reallocations on the hot path.
+// entries, so the backing array is allocated once, at the tracker's
+// restore, and reused while pushRange advances it.
 type deque struct {
 	buf  []idxVal
 	head int // index of the front element
@@ -21,16 +20,6 @@ type deque struct {
 
 func newDeque(capacity int) deque {
 	return deque{buf: make([]idxVal, capacity)}
-}
-
-func (d *deque) front() idxVal { return d.buf[d.head] }
-
-func (d *deque) back() idxVal {
-	i := d.head + d.n - 1
-	if i >= len(d.buf) {
-		i -= len(d.buf)
-	}
-	return d.buf[i]
 }
 
 func (d *deque) pushBack(e idxVal) {
@@ -42,26 +31,16 @@ func (d *deque) pushBack(e idxVal) {
 	d.n++
 }
 
-func (d *deque) popBack() { d.n-- }
-
-func (d *deque) popFront() {
-	d.head++
-	if d.head >= len(d.buf) {
-		d.head = 0
-	}
-	d.n--
-}
-
-// slidingExtrema is the per-radius state of the oscillation estimator:
-// the monotonic ring deques over the latest window of one radius (the
-// strict suffix maxima and minima, amortized O(1) per sample and zero
-// steady-state allocations) and the oscillations of the centers not yet
-// emitted. The oscillation for center c becomes available once sample
-// c+r has been consumed. Entries are self-contained (index + value), so
-// per-sample pushes need no raw history and memory stays bounded via
-// trim. The batch kernel (pushLadder) computes oscillations without the
-// deques and rebuilds them afterwards (rebuild), so both paths leave the
-// same state.
+// slidingExtrema is one radius's tracker of the persisted estimator
+// state: the monotonic ring deques over the latest window (the strict
+// suffix maxima and minima, newest of equal values kept) and the
+// oscillations of the centers not yet emitted, osc[k] for center
+// oscBase+k. The oscillation for center c becomes available once sample
+// c+r has been consumed. The estimator keeps no trackers while it runs:
+// State derives them from the raw tail (trackerView). A restored
+// estimator advances its restored trackers with pushRange until its tail
+// has refilled, and the tests keep them as the reference the raw
+// kernels must match.
 type slidingExtrema struct {
 	r, w int
 	maxD deque // values decreasing
@@ -73,39 +52,14 @@ type slidingExtrema struct {
 
 func newSlidingExtrema(r int) *slidingExtrema {
 	w := 2*r + 1
-	// Capacity w+1: push appends the new entry before evicting the one
-	// that just left the window, so the deque transiently holds w+1.
+	// Capacity w+1: pushRange appends the new entry before evicting the
+	// one that just left the window, so the deque transiently holds w+1.
 	return &slidingExtrema{
 		r:       r,
 		w:       w,
 		maxD:    newDeque(w + 1),
 		minD:    newDeque(w + 1),
 		oscBase: r,
-	}
-}
-
-// push consumes sample (idx, x); idx must increase by one per call. It
-// records the oscillation of the newly completed window, if any.
-func (s *slidingExtrema) push(idx int, x float64) {
-	for s.maxD.n > 0 && s.maxD.back().v <= x {
-		s.maxD.popBack()
-	}
-	s.maxD.pushBack(idxVal{idx: idx, v: x})
-	for s.minD.n > 0 && s.minD.back().v >= x {
-		s.minD.popBack()
-	}
-	s.minD.pushBack(idxVal{idx: idx, v: x})
-	// Evict entries that fell out of the window ending at idx.
-	lo := idx - s.w + 1
-	for s.maxD.front().idx < lo {
-		s.maxD.popFront()
-	}
-	for s.minD.front().idx < lo {
-		s.minD.popFront()
-	}
-	if idx >= s.w-1 {
-		// Window [idx-w+1, idx] is complete; center idx-r.
-		s.osc = append(s.osc, s.maxD.front().v-s.minD.front().v)
 	}
 }
 
@@ -116,12 +70,14 @@ func (s *slidingExtrema) at(t int) float64 {
 }
 
 // pushRange consumes samples xs[0..] at consecutive indices starting at
-// idx0. It is the batch form of push: the deque cursors live in locals
-// for the whole run, so the per-sample loop compiles to straight-line
-// ring arithmetic with no method-call layering. The pops, evictions and
-// oscillation appends happen in exactly the order repeated push would
-// perform them, so the tracker state after pushRange is identical
-// (asserted by TestPushRangeParity).
+// idx0 (the first call's idx0 is the tracker's next index). For each
+// sample it pops the back entries the sample dominates (<= for the
+// maxima, >= for the minima, so the newest of equals stays), appends
+// it, evicts the front entries that left the window, and records the
+// oscillation of the window the sample completes, if any. The deque
+// cursors live in locals for the whole run, so the loop compiles to
+// straight-line ring arithmetic; any split of a stream into calls leaves
+// the same state (asserted by TestPushRangeParity).
 func (s *slidingExtrema) pushRange(idx0 int, xs []float64) {
 	maxBuf, minBuf := s.maxD.buf, s.minD.buf
 	mh, mn := s.maxD.head, s.maxD.n
@@ -187,34 +143,8 @@ func (s *slidingExtrema) pushRange(idx0 int, xs []float64) {
 	s.osc = osc
 }
 
-// rebuild resets the deques to the window ending at absolute index end,
-// read from the raw view a (a[0] is absolute index a0): scanning newest
-// to oldest and keeping strict improvements leaves the newest of equal
-// values, exactly the chains repeated push's `<=`/`>=` back-pops leave.
-func (s *slidingExtrema) rebuild(a []float64, a0, end int) {
-	mb, nb := s.maxD.buf, s.minD.buf
-	mp, np := len(mb), len(nb)
-	curMax, curMin := math.Inf(-1), math.Inf(1)
-	for j := end; j > end-s.w; j-- {
-		v := a[j-a0]
-		if v > curMax {
-			mp--
-			mb[mp] = idxVal{idx: j, v: v}
-			curMax = v
-		}
-		if v < curMin {
-			np--
-			nb[np] = idxVal{idx: j, v: v}
-			curMin = v
-		}
-	}
-	s.maxD.head, s.maxD.n = mp, len(mb)-mp
-	s.minD.head, s.minD.n = np, len(nb)-np
-}
-
 // trim discards oscillations for centers below minCenter, bounding the
-// tracker's memory. The copy-down reuses the slice's capacity, so after
-// the first few trims push/trim cycles allocate nothing.
+// tracker's memory. The copy-down reuses the slice's capacity.
 func (s *slidingExtrema) trim(minCenter int) {
 	drop := minCenter - s.oscBase
 	if drop <= 0 {
@@ -278,4 +208,85 @@ func restoreExtrema(st ExtremaState) (*slidingExtrema, error) {
 	s.osc = append(s.osc, st.Osc...)
 	s.oscBase = st.OscBase
 	return s, nil
+}
+
+// trackerView derives the estimator's trackers from its raw tail: for
+// each ladder radius, the state pushRange and trim would leave after
+// the samples consumed so far. The deques are dequeView's. The pending
+// oscillations are those of centers (t, seen-1-r] once center t =
+// seen-1-maxR has been emitted, with OscBase t+1, or of [r, seen-1-r]
+// before the first emission, with OscBase r. They are read off the
+// batch kernel's rung chain, built once over the tail, so the view costs
+// linear time per rung and its values (ties to the newest sample) are
+// bit-identical to the trackers'.
+func (e *OscillationEstimator) trackerView() []ExtremaState {
+	raw := e.rawTail[max(len(e.rawTail)-e.tailCap, 0):]
+	a0 := e.seen - len(raw) // absolute index of raw[0]
+	emitted := e.seen-1-e.maxR >= e.maxR
+	sts := make([]ExtremaState, len(e.radii))
+	for i, r := range e.radii {
+		sts[i] = dequeView(raw, a0, r)
+		sts[i].OscBase = r
+		if emitted {
+			sts[i].OscBase = e.seen - e.maxR
+		}
+	}
+	sc := ladderPool.Get().(*ladderScratch)
+	wmax, wmin := grown(sc.wmax, len(raw)), grown(sc.wmin, len(raw))
+	sc.wmax, sc.wmin = wmax, wmin
+	for _, g := range e.plan {
+		// Window j of this rung covers raw[j..j+2r], center a0+j+r.
+		n := len(raw) - 2*g.r
+		if n <= 0 {
+			break // too few samples for this rung and those above it
+		}
+		if g.step == 0 {
+			baseExtrema(raw[:n+2], wmax[:n], wmin[:n])
+		} else {
+			stepExtrema(wmax[:n], wmin[:n], wmax[g.step:], wmin[g.step:])
+		}
+		if g.col < 0 {
+			continue
+		}
+		var osc []float64
+		for j := sts[e.colLead[g.col]].OscBase - g.r - a0; j < n; j++ {
+			osc = append(osc, wmax[j]-wmin[j])
+		}
+		for i, c := range e.colOf {
+			if c == g.col {
+				sts[i].Osc = slices.Clone(osc)
+			}
+		}
+	}
+	ladderPool.Put(sc)
+	return sts
+}
+
+// dequeView is the ExtremaState of radius r's deques after the samples
+// raw (raw[0] at absolute index a0; the last is the newest sample): the
+// strict suffix maxima and minima of the window of 2r+1 samples ending
+// there, clamped at index 0 for a young stream, oldest first. Scanning
+// newest to oldest and keeping strict improvements leaves the newest of
+// equal values, exactly the chains pushRange's back-pops leave. Osc and
+// OscBase are left to the caller.
+func dequeView(raw []float64, a0, r int) ExtremaState {
+	st := ExtremaState{R: r}
+	end := a0 + len(raw) - 1
+	var curMax, curMin float64
+	for j := end; j >= max(end-2*r, 0); j-- {
+		v := raw[j-a0]
+		if len(st.MaxIdx) == 0 || v > curMax {
+			st.MaxIdx, st.MaxVal = append(st.MaxIdx, j), append(st.MaxVal, v)
+			curMax = v
+		}
+		if len(st.MinIdx) == 0 || v < curMin {
+			st.MinIdx, st.MinVal = append(st.MinIdx, j), append(st.MinVal, v)
+			curMin = v
+		}
+	}
+	slices.Reverse(st.MaxIdx)
+	slices.Reverse(st.MaxVal)
+	slices.Reverse(st.MinIdx)
+	slices.Reverse(st.MinVal)
+	return st
 }

@@ -1,7 +1,6 @@
 package stream
 
 import (
-	"math"
 	"slices"
 	"sync"
 )
@@ -81,11 +80,10 @@ func grown[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-// pushLadder is PushColumns' batch kernel. It emits the estimates for
-// centers [tStart, tEnd] and leaves tracker state identical to repeated
-// Push. The caller guarantees the batch completes at least one center
-// (tEnd >= tStart) and that the retained raw tail reaches back to
-// tStart-maxR, the first sample the top rung's first window reads.
+// pushLadder is PushColumns' batch kernel for a batch of more than
+// 2*maxR samples. It emits the estimates for the centers the batch
+// completes, [tStart, tEnd], reading the raw tail back to tStart-maxR,
+// the first sample the top rung's first window reads.
 //
 // One pass up the ladder computes every rung's window extrema from the
 // rung below, writing the oscillation columns of the ladder's radii and,
@@ -94,15 +92,14 @@ func grown[T any](s []T, n int) []T {
 // Max and min are exact, and ties resolve to the newest sample as the
 // deques' back-pops do, so the columns hold bit-identical values to the
 // trackers' osc. The emission loop then replays the memoized slope
-// between flags and recomputes only at them, exactly as alphaMemo would
-// center by center. The trackers keep only what the next batch needs:
-// the pending centers (tEnd, end-r], and deques rebuilt from the final
-// window's raw samples.
-func (e *OscillationEstimator) pushLadder(xs []float64, tStart, tEnd int, out []float64) []float64 {
+// between flags and recomputes only at them, exactly as alphaRaw would
+// center by center.
+func (e *OscillationEstimator) pushLadder(xs []float64, out []float64) []float64 {
 	sc := ladderPool.Get().(*ladderScratch)
 	idx0, maxR := e.seen, e.maxR
-	base := tStart - maxR // absolute index of raw[0]
 	end := idx0 + len(xs) - 1
+	tStart, tEnd := max(idx0-maxR, maxR), end-maxR
+	base := tStart - maxR // absolute index of raw[0]
 	hist := e.rawTail[len(e.rawTail)-(idx0-base):]
 	raw := append(append(sc.raw[:0], hist...), xs...)
 	sc.raw = raw
@@ -120,12 +117,6 @@ func (e *OscillationEstimator) pushLadder(xs []float64, tStart, tEnd int, out []
 		sc.offs[i] = c * stride
 	}
 	out = e.emitColumns(sc, nT, out)
-	for i, tr := range e.trk {
-		col := sc.osc[sc.offs[i]:]
-		tr.osc = append(tr.osc[:0], col[nT:nT+maxR-tr.r]...)
-		tr.oscBase = tEnd + 1
-		tr.rebuild(raw, base, end)
-	}
 	e.appendTail(xs)
 	e.seen = end + 1
 	ladderPool.Put(sc)
@@ -135,7 +126,8 @@ func (e *OscillationEstimator) pushLadder(xs []float64, tStart, tEnd int, out []
 // ladderColumns runs the rung chain over sc.raw, filling the oscillation
 // column of every ladder radius and sc.changed. Column c (radius r)
 // holds centers [tStart, end-r] from index c*stride: the emitted centers
-// and, after them, the ones still pending.
+// and, after them, the maxR-r the next batch completes, which the
+// emission never reads.
 func (e *OscillationEstimator) ladderColumns(sc *ladderScratch, stride int) {
 	raw, maxR := sc.raw, e.maxR
 	wmax, wmin := grown(sc.wmax, len(raw)-2), grown(sc.wmin, len(raw)-2)
@@ -253,21 +245,16 @@ func flagOscillations(wmax, wmin, col []float64, changed []uint8, prev float64) 
 // emitColumns appends one estimate per emitted center: the memoized
 // slope between change flags, a reload of every rung plus memoSlope at
 // them. The recompute points, memo updates and arithmetic match
-// alphaMemo center by center, so the emitted values — and the memo left
+// alphaRaw center by center, so the emitted values — and the memo left
 // behind — are bit-identical.
 func (e *OscillationEstimator) emitColumns(sc *ladderScratch, nT int, out []float64) []float64 {
-	osc, offs := sc.osc, sc.offs
-	memoOsc, memoLog := e.memoOsc, e.memoLog
+	osc, offs, memoOsc := sc.osc, sc.offs, e.memoOsc
 	alpha := e.memoAlpha
 	for k, ch := range sc.changed[:nT] {
 		if ch != 0 {
 			for i, off := range offs {
-				v := osc[off+k]
-				if v != memoOsc[i] {
-					memoOsc[i] = v
-					if v > 0 {
-						memoLog[i] = math.Log(v)
-					}
+				if v := osc[off+k]; v != memoOsc[i] {
+					e.memoSet(i, v)
 				}
 			}
 			alpha = e.memoSlope()

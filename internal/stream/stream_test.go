@@ -14,7 +14,7 @@ func TestSlidingExtremaMatchesNaive(t *testing.T) {
 	tr := newSlidingExtrema(7)
 	for i := 0; i < 500; i++ {
 		raw = append(raw, rng.NormFloat64())
-		tr.push(i, raw[i])
+		tr.pushRange(i, raw[i:])
 	}
 	for c := 7; c+7 < 500; c++ {
 		lo, hi := raw[c-7], raw[c-7]
@@ -35,7 +35,7 @@ func TestSlidingExtremaMatchesNaive(t *testing.T) {
 func TestSlidingExtremaConstantInput(t *testing.T) {
 	tr := newSlidingExtrema(3)
 	for i := 0; i < 100; i++ {
-		tr.push(i, 5)
+		tr.pushRange(i, []float64{5})
 	}
 	for c := 3; c+3 < 100; c++ {
 		if got := tr.at(c); got != 0 {
@@ -49,9 +49,9 @@ func TestSlidingExtremaStateRoundTrip(t *testing.T) {
 	a := newSlidingExtrema(5)
 	b := newSlidingExtrema(5)
 	for i := 0; i < 137; i++ {
-		x := rng.NormFloat64()
-		a.push(i, x)
-		b.push(i, x)
+		x := []float64{rng.NormFloat64()}
+		a.pushRange(i, x)
+		b.pushRange(i, x)
 	}
 	a.trim(120)
 	b.trim(120)
@@ -60,9 +60,9 @@ func TestSlidingExtremaStateRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 137; i < 300; i++ {
-		x := rng.NormFloat64()
-		restored.push(i, x)
-		b.push(i, x)
+		x := []float64{rng.NormFloat64()}
+		restored.pushRange(i, x)
+		b.pushRange(i, x)
 		if got, want := restored.at(i-5), b.at(i-5); got != want {
 			t.Fatalf("osc divergence at center %d: %v vs %v", i-5, got, want)
 		}
